@@ -196,7 +196,6 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph(args.graph)
     coloring = parse_coloring(_read_text(args.coloring))
-    coloring.ensure_covers(g)
     cert = verify_rainbow_connected(g, coloring, want_witnesses=args.witnesses)
     outcome = {
         "connected": cert.connected,

@@ -1,23 +1,27 @@
 """Independent verification that a coloring makes a graph rainbow connected.
 
 A graph with colored edges is rainbow connected when every vertex pair is
-joined by a path whose edge colors are pairwise distinct. The checker runs a
-per-source fixed point over (vertex, used-color-bitmask) states, so its cost
-is bounded by n * 2^c states per source regardless of path structure. It
+joined by a path whose edge colors are pairwise distinct. Every check runs on
+one search: a breadth-first search from a source over (vertex,
+used-color-bitmask) states, which crosses off each target vertex as it reaches
+it and stops once none is left. Its cost is bounded by n * 2^k states per
+source, k being the number of distinct colors, regardless of path structure.
+When every edge has its own color, any shortest path is rainbow, so a plain
+breadth-first search decides instead and no color cap applies. The checker
 never trusts the construction code: everything is recomputed from the graph
 and the coloring alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
 from .errors import CapExceeded, IndexOutOfRange
-from .graph import Graph, bfs_layers, UNREACHABLE
+from .graph import Graph, UNREACHABLE
 
-# Bitmask cap: states fit n * 2^16 in the worst case the API accepts.
+# Bitmask cap on distinct colors: states fit n * 2^16 in the worst case the
+# API accepts.
 DEFAULT_COLOR_CAP = 16
 
 Pair = tuple[int, int]
@@ -47,131 +51,119 @@ def incidence(g: Graph) -> list[list[tuple[int, int]]]:
     return inc
 
 
+def _unwind(pred, end: int, start: int) -> list:
+    """The chain from start to end, following pred backwards from end."""
+    chain = [end]
+    while chain[-1] != start:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def _rainbow_search(
+    inc, cbits: int, bits: list[int], s: int, targets: set[int], paths=None
+) -> None:
+    """Breadth-first search from s over states (v << cbits) | used-color mask.
+
+    Removes each vertex it reaches from targets and stops once targets is
+    empty. When paths is a dict, it receives for every target reached the
+    rainbow path to the state that first reached it.
+    """
+    mask_all = (1 << cbits) - 1
+    start = s << cbits
+    seen = {start}
+    queue = [start]
+    pred = None if paths is None else {}
+    for key in queue:
+        mask = key & mask_all
+        for w, e in inc[key >> cbits]:
+            b = bits[e]
+            if mask & b:
+                continue
+            nk = (w << cbits) | mask | b
+            if nk in seen:
+                continue
+            seen.add(nk)
+            queue.append(nk)
+            if pred is not None:
+                pred[nk] = key
+            if w in targets:
+                targets.remove(w)
+                if pred is not None:
+                    paths[w] = tuple(k >> cbits for k in _unwind(pred, nk, start))
+                if not targets:
+                    return
+
+
+def _bfs_parents(g: Graph, s: int) -> list[int]:
+    """Breadth-first tree from s: parent of each reached vertex, s for s itself."""
+    parent = [UNREACHABLE] * g.n
+    parent[s] = s
+    queue = [s]
+    for u in queue:
+        for w in g.adj[u]:
+            if parent[w] == UNREACHABLE:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
 def pair_connected(inc, cbits: int, bits: list[int], s: int, t: int) -> bool:
     """Is there a rainbow path from s to t? Verdict only, early exit."""
     if s == t:
         return True
-    start = s << cbits
-    seen = {start}
-    queue = deque([start])
-    mask_all = (1 << cbits) - 1
-    while queue:
-        key = queue.popleft()
-        v = key >> cbits
-        mask = key & mask_all
-        for w, e in inc[v]:
-            b = bits[e]
-            if mask & b:
-                continue
-            if w == t:
-                return True
-            nk = (w << cbits) | (mask | b)
-            if nk not in seen:
-                seen.add(nk)
-                queue.append(nk)
-    return False
+    targets = {t}
+    _rainbow_search(inc, cbits, bits, s, targets)
+    return not targets
 
 
-def least_failing_pair(n: int, inc, cbits: int, bits: list[int]) -> Pair | None:
-    """Least pair with no rainbow path, or None when all pairs have one."""
-    mask_all = (1 << cbits) - 1
+def least_failing_pair(
+    n: int, inc, cbits: int, bits: list[int], witnesses: dict | None = None
+) -> Pair | None:
+    """Least pair with no rainbow path, or None when all pairs have one.
+
+    When witnesses is a dict, it receives one rainbow path per pair (s, t),
+    s < t, in ascending order; it is complete only when None is returned.
+    """
     for s in range(n - 1):
-        needed = n - 1 - s
-        reached = bytearray(n)
-        start = s << cbits
-        seen = {start}
-        queue = deque([start])
-        while queue and needed:
-            key = queue.popleft()
-            v = key >> cbits
-            mask = key & mask_all
-            for w, e in inc[v]:
-                b = bits[e]
-                if mask & b:
-                    continue
-                nk = (w << cbits) | (mask | b)
-                if nk in seen:
-                    continue
-                seen.add(nk)
-                if w > s and not reached[w]:
-                    reached[w] = 1
-                    needed -= 1
-                queue.append(nk)
-        if needed:
-            for t in range(s + 1, n):
-                if not reached[t]:
-                    return (s, t)
+        targets = set(range(s + 1, n))
+        paths = None if witnesses is None else {}
+        _rainbow_search(inc, cbits, bits, s, targets, paths)
+        if targets:
+            return (s, min(targets))
+        if paths is not None:
+            witnesses.update(((s, t), paths[t]) for t in range(s + 1, n))
     return None
 
 
-def _witness_scan(n: int, inc, cbits: int, bits: list[int]):
-    """All-pairs scan that also reconstructs one rainbow path per pair."""
-    mask_all = (1 << cbits) - 1
-    witnesses: dict[Pair, tuple[int, ...]] = {}
-    for s in range(n - 1):
-        start = s << cbits
-        seen = {start}
-        pred: dict[int, int] = {}
-        first_hit: dict[int, int] = {}
-        queue = deque([start])
-        while queue:
-            key = queue.popleft()
-            v = key >> cbits
-            mask = key & mask_all
-            for w, e in inc[v]:
-                b = bits[e]
-                if mask & b:
-                    continue
-                nk = (w << cbits) | (mask | b)
-                if nk in seen:
-                    continue
-                seen.add(nk)
-                pred[nk] = key
-                if w not in first_hit:
-                    first_hit[w] = nk
-                queue.append(nk)
-        for t in range(s + 1, n):
-            if t not in first_hit:
-                return (s, t), witnesses
-            path = []
-            key = first_hit[t]
-            while True:
-                path.append(key >> cbits)
-                if key == start:
-                    break
-                key = pred[key]
-            witnesses[(s, t)] = tuple(reversed(path))
-    return None, witnesses
+def _color_bits(seq: tuple[int, ...], cap_colors: int) -> tuple[int, list[int]] | None:
+    """One bit per distinct color, labels compacted to 0..k-1, as (k, bits).
+
+    None when every edge has its own color, since then no bitmask is needed.
+    Otherwise raises CapExceeded when k exceeds cap_colors.
+    """
+    labels = sorted(set(seq))
+    if len(labels) == len(seq):
+        return None
+    if len(labels) > cap_colors:
+        raise CapExceeded(f"{len(labels)} colors exceed the verifier cap of {cap_colors}")
+    bit = {c: 1 << i for i, c in enumerate(labels)}
+    return len(labels), [bit[c] for c in seq]
 
 
-def _all_distinct_scan(g: Graph, want_witnesses: bool):
+def _all_distinct_scan(g: Graph, want_witnesses: bool) -> RainbowCertificate:
     # Every edge color is unique, so any shortest path is rainbow and plain
-    # connectivity decides the verdict.
-    layers0 = bfs_layers(g, 0)
-    if UNREACHABLE in layers0.dist:
-        bad = min(t for t in range(g.n) if layers0.dist[t] == UNREACHABLE)
-        return RainbowCertificate(False, failing_pair=(0, bad))
-    if not want_witnesses:
-        return RainbowCertificate(True)
+    # connectivity decides the verdict: a failure shows from source 0.
     witnesses: dict[Pair, tuple[int, ...]] = {}
     for s in range(g.n - 1):
-        parent = [UNREACHABLE] * g.n
-        dist = [UNREACHABLE] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
+        parent = _bfs_parents(g, s)
+        if UNREACHABLE in parent:
+            return RainbowCertificate(False, failing_pair=(s, parent.index(UNREACHABLE)))
+        if not want_witnesses:
+            return RainbowCertificate(True)
         for t in range(s + 1, g.n):
-            path = [t]
-            while path[-1] != s:
-                path.append(parent[path[-1]])
-            witnesses[(s, t)] = tuple(reversed(path))
-    return RainbowCertificate(True, witnesses=witnesses)
+            witnesses[(s, t)] = tuple(_unwind(parent, t, s))
+    return RainbowCertificate(True, witnesses=witnesses if want_witnesses else None)
 
 
 def verify_rainbow_connected(
@@ -184,31 +176,17 @@ def verify_rainbow_connected(
     """Decide rainbow connectivity of g under coloring.
 
     The coloring must cover E(g) exactly (ColoringMismatch otherwise). When
-    the coloring is not injective and uses more than cap_colors colors the
-    bitmask state space is refused with CapExceeded.
+    the coloring is not injective and uses more than cap_colors distinct
+    colors the bitmask state space is refused with CapExceeded.
     """
-    coloring.ensure_covers(g)
-    if g.n <= 1:
-        return RainbowCertificate(True, witnesses={} if want_witnesses else None)
-    if g.m == 0:
-        return RainbowCertificate(False, failing_pair=(0, 1))
-    seq = coloring.as_sequence(g)
-    if len(set(seq)) == g.m:
+    compact = _color_bits(coloring.as_sequence(g), cap_colors)
+    if compact is None:
         return _all_distinct_scan(g, want_witnesses)
-    cbits = coloring.color_count
-    if cbits > cap_colors:
-        raise CapExceeded(f"{cbits} colors exceed the verifier cap of {cap_colors}")
-    inc = incidence(g)
-    bits = [1 << (c - 1) for c in seq]
-    if want_witnesses:
-        failing, witnesses = _witness_scan(g.n, inc, cbits, bits)
-        if failing is not None:
-            return RainbowCertificate(False, failing_pair=failing)
-        return RainbowCertificate(True, witnesses=witnesses)
-    failing = least_failing_pair(g.n, inc, cbits, bits)
+    witnesses = {} if want_witnesses else None
+    failing = least_failing_pair(g.n, incidence(g), *compact, witnesses)
     if failing is not None:
         return RainbowCertificate(False, failing_pair=failing)
-    return RainbowCertificate(True)
+    return RainbowCertificate(True, witnesses=witnesses)
 
 
 def rainbow_path(
@@ -220,72 +198,18 @@ def rainbow_path(
     cap_colors: int = DEFAULT_COLOR_CAP,
 ) -> tuple[int, ...] | None:
     """One rainbow path from u to w, or None when no such path exists."""
-    coloring.ensure_covers(g)
+    seq = coloring.as_sequence(g)
     if not (0 <= u < g.n) or not (0 <= w < g.n):
         raise IndexOutOfRange(f"pair ({u}, {w}) outside 0..{g.n - 1}")
     if u == w:
         return (u,)
-    if g.m == 0:
-        return None
-    seq = coloring.as_sequence(g)
-    cbits = coloring.color_count
-    if len(set(seq)) == g.m:
-        # All colors distinct: any shortest path works.
-        layers = bfs_layers(g, u)
-        if layers.dist[w] == UNREACHABLE:
-            return None
-        parent = [UNREACHABLE] * g.n
-        dist = [UNREACHABLE] * g.n
-        dist[u] = 0
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            for b in g.adj[a]:
-                if dist[b] == UNREACHABLE:
-                    dist[b] = dist[a] + 1
-                    parent[b] = a
-                    queue.append(b)
-        path = [w]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        return tuple(reversed(path))
-    if cbits > cap_colors:
-        raise CapExceeded(f"{cbits} colors exceed the verifier cap of {cap_colors}")
-    inc = incidence(g)
-    bits = [1 << (c - 1) for c in seq]
-    mask_all = (1 << cbits) - 1
-    start = u << cbits
-    seen = {start}
-    pred: dict[int, int] = {}
-    queue = deque([start])
-    hit: int | None = None
-    while queue and hit is None:
-        key = queue.popleft()
-        v = key >> cbits
-        mask = key & mask_all
-        for nb, e in inc[v]:
-            b = bits[e]
-            if mask & b:
-                continue
-            nk = (nb << cbits) | (mask | b)
-            if nk in seen:
-                continue
-            seen.add(nk)
-            pred[nk] = key
-            if nb == w:
-                hit = nk
-                break
-            queue.append(nk)
-    if hit is None:
-        return None
-    path = []
-    key = hit
-    while True:
-        path.append(key >> cbits)
-        if key == start:
-            break
-        key = pred[key]
-    return tuple(reversed(path))
+    compact = _color_bits(seq, cap_colors)
+    if compact is None:
+        parent = _bfs_parents(g, u)
+        return None if parent[w] == UNREACHABLE else tuple(_unwind(parent, w, u))
+    paths: dict[int, tuple[int, ...]] = {}
+    _rainbow_search(incidence(g), *compact, u, {w}, paths)
+    return paths.get(w)
 
 
 def check_witness(

@@ -167,6 +167,14 @@ def test_verify_coloring_mismatch_exit2(tmp_path, capsys):
     assert main(["verify", gpath, str(cpath)]) == EXIT_INPUT
 
 
+def test_verify_sparse_labels_under_cap(tmp_path, capsys):
+    gpath = write_graph(tmp_path, cycle(3))
+    cpath = tmp_path / "sparse.txt"
+    cpath.write_text("0 1 1\n0 2 1\n1 2 1000\n")
+    assert main(["verify", gpath, str(cpath), "--format", "structured"]) == EXIT_OK
+    assert structured(capsys)["outcome"]["connected"] is True
+
+
 # ---------------------------------------------------------------------------
 # exact
 

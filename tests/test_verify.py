@@ -1,9 +1,13 @@
+import ast
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import oracles
+from rainbowconn import verify
 from rainbowconn.coloring import EdgeColoring
 from rainbowconn.errors import CapExceeded, ColoringMismatch, IndexOutOfRange
 from rainbowconn.generators import complete, cycle, petersen, star
@@ -59,15 +63,16 @@ def test_coloring_must_cover_edges():
 def test_color_cap():
     g = cycle(6)
     colors = [1, 2, 3, 4, 1, 2]
-    many = [c + 20 for c in colors]
+    sparse = [c * 20 + 1 for c in colors]
+    assert verify_rainbow_connected(
+        g, EdgeColoring.from_sequence(g, sparse)
+    ) == verify_rainbow_connected(g, EdgeColoring.from_sequence(g, colors))
+    g = cycle(18)
+    c = EdgeColoring.from_sequence(g, list(range(1, 18)) + [1])
+    assert c.colors_used == DEFAULT_COLOR_CAP + 1
     with pytest.raises(CapExceeded):
-        verify_rainbow_connected(g, EdgeColoring.from_sequence(g, many))
-    cert = verify_rainbow_connected(
-        g, EdgeColoring.from_sequence(g, many), cap_colors=40
-    )
-    assert cert.connected == verify_rainbow_connected(
-        g, EdgeColoring.from_sequence(g, colors)
-    ).connected
+        verify_rainbow_connected(g, c)
+    assert verify_rainbow_connected(g, c, cap_colors=17).connected
 
 
 def test_all_distinct_fast_path_ignores_cap():
@@ -161,3 +166,35 @@ def test_seeded_sweep_matches_naive():
         if ok:
             for (u, v), path in cert.witnesses.items():
                 assert check_witness(g, c, u, v, path)
+        simple_paths = oracles.all_pair_simple_paths(g)
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                exists = any(
+                    oracles.is_rainbow_path(c, p)
+                    for p in simple_paths.get((min(u, v), max(u, v)), ())
+                )
+                path = rainbow_path(g, c, u, v)
+                assert (path is not None) == exists
+                assert path is None or check_witness(g, c, u, v, path)
+
+
+def test_verifier_imports_nothing_from_the_constructions():
+    # The verifier is the trust anchor: it may use the data types and the
+    # error taxonomy, but no algorithm it could share a bug with.
+    allowed = {"coloring": None, "errors": None, "graph": {"Graph", "UNREACHABLE"}}
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "rainbowconn":
+                assert module.split(".")[0] in sys.stdlib_module_names, module
+                continue
+            local = module.removeprefix("rainbowconn.") if node.level == 0 else module
+            assert local in allowed, f"verify imports {local}"
+            names = {alias.name for alias in node.names}
+            assert allowed[local] is None or names <= allowed[local], names

@@ -286,7 +286,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _instance_params(base: dict, index: int, seed: int) -> dict:
+def _instance_params(base: dict, index: int) -> dict:
     out: dict = {}
     for key, val in base.items():
         if isinstance(val, tuple):
@@ -312,7 +312,7 @@ def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
     }
     failures: list[dict] = []
     for i in range(args.count):
-        params = _instance_params(base_params, i, args.seed)
+        params = _instance_params(base_params, i)
         if args.family == "random-diam2":
             params["seed"] = child_seed(params.get("seed", args.seed), i)
         spec = GenSpec(args.family, params)
@@ -397,7 +397,7 @@ def _fuzz_hunt(args, base_params: dict) -> tuple[dict, int]:
     }
     max_rc: int | None = None
     for i in range(args.count):
-        params = _instance_params(base_params, i, args.seed)
+        params = _instance_params(base_params, i)
         if args.family == "random-diam2":
             params["seed"] = child_seed(params.get("seed", args.seed), i)
             params.setdefault("bridgeless", True)

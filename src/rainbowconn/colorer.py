@@ -24,7 +24,6 @@ from typing import ClassVar
 from .coloring import EdgeColoring
 from .errors import (
     ConstructionFailure,
-    IndexOutOfRange,
     OutOfScopeGraph,
     StructureViolation,
     WrongCase,
@@ -345,11 +344,6 @@ def _require_two_connected(g: Graph) -> None:
         raise WrongCase("this construction needs a 2-connected graph")
 
 
-def _check_center(g: Graph, center: int) -> None:
-    if not (0 <= center < g.n):
-        raise IndexOutOfRange(f"center {center} outside 0..{g.n - 1}")
-
-
 def _outer_split(
     g: Graph, outer: frozenset[int], left: set[int], right: set[int]
 ) -> tuple[set[int], set[int], set[int]]:
@@ -435,7 +429,6 @@ def partition_linked_outer(
     the side opposite a seeded neighbor, which always exists at diameter 2.
     """
     _require_two_connected(g)
-    _check_center(g, center)
     layers = bfs_layers(g, center)
     if layers.eccentricity != 2:
         raise WrongCase(f"center {center} has eccentricity {layers.eccentricity}, not 2")
@@ -482,7 +475,6 @@ def build_link_graph(g: Graph, center: int) -> LinkGraph:
     connected for every center of a 2-connected diameter-2 graph.
     """
     _require_two_connected(g)
-    _check_center(g, center)
     layers = bfs_layers(g, center)
     if layers.eccentricity > 2:
         raise WrongCase(f"center {center} has eccentricity {layers.eccentricity}")
@@ -536,7 +528,6 @@ def build_partition(
 ) -> NeighborhoodPartition:
     """Choose the partition style for this center by probing the outer ring."""
     _require_two_connected(g)
-    _check_center(g, center)
     layers = bfs_layers(g, center)
     ring2 = frozenset(layers.layer(2)) if layers.eccentricity >= 2 else frozenset()
     if any(g.adj_sets[u] & ring2 for u in ring2):
@@ -671,8 +662,6 @@ def color_two_connected(
     *,
     center: int | None = None,
     try_all_centers: bool = False,
-    forest_retries: int = FOREST_RETRIES,
-    fallback_budget: int = FALLBACK_BUDGET,
 ) -> ColoringOutcome:
     """Five colors for a 2-connected graph of diameter at most 2.
 
@@ -686,8 +675,6 @@ def color_two_connected(
     d = diameter(g)
     if d is None or d > 2:
         raise WrongCase(f"diameter {d} is outside this construction's case")
-    if center is not None:
-        _check_center(g, center)
     if try_all_centers:
         center_order = list(range(g.n))
     else:
@@ -696,7 +683,7 @@ def color_two_connected(
     cls = TwoConnected()
     attempts = 0
     first_fail: tuple[int, int] | None = None
-    for round_idx in range(forest_retries + 1):
+    for round_idx in range(FOREST_RETRIES + 1):
         forest_seed = None if round_idx == 0 else round_idx
         for c in center_order:
             rng = (
@@ -726,7 +713,7 @@ def color_two_connected(
 
     tested = 0
     for level in range(max(rc_lower_bound(g), 1), 6):
-        colors, t, exhausted = _search_level(g, level, fallback_budget - tested, tested, None)
+        colors, t, exhausted = _search_level(g, level, FALLBACK_BUDGET - tested, tested, None)
         tested += t
         if colors is not None:
             coloring = EdgeColoring.from_sequence(g, colors)
@@ -761,13 +748,12 @@ def color_diam2(
     guarantee, and the provenance of the construction; colors_used never
     exceeds the guarantee.
     """
-    if g.n == 0 or not is_connected(g):
-        raise OutOfScopeGraph("coloring needs a connected graph")
-    d = diameter(g)
-    assert d is not None
-    if d > 2:
-        raise OutOfScopeGraph(f"diameter {d} is out of scope, only 2 or less is supported")
     cls = classify(g)
+    if isinstance(cls, NotDiameterAtMost2):
+        d = diameter(g)
+        if d is None:
+            raise OutOfScopeGraph("coloring needs a connected graph")
+        raise OutOfScopeGraph(f"diameter {d} is out of scope, only 2 or less is supported")
     if isinstance(cls, CompleteLike):
         coloring = EdgeColoring.from_map({e: 1 for e in g.edges})
         prov = Provenance("complete", None, None, "base", 1, False)

@@ -5,6 +5,9 @@ first significant line `p <n> <m>` pins the vertex count. Without a p line the
 vertex count is the largest index plus one.
 
 Coloring: one `u v c` triple per line with a positive color, same comment rule.
+
+Edge lists are capped at MAX_VERTICES vertices, checked on the p line and on
+every edge before any adjacency is allocated.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from typing import Sequence
 from .coloring import EdgeColoring
 from .errors import ParseError
 from .graph import Edge, Graph, build_graph, normalize_edge
+
+# Largest vertex count an edge list may declare or imply.
+MAX_VERTICES = 100_000
 
 
 def _significant_lines(text: str):
@@ -44,11 +50,20 @@ def parse_edge_list(text: str) -> Graph:
             fields = _int_fields(line[1:], lineno, 2)
             if fields[0] < 0 or fields[1] < 0:
                 raise ParseError(f"line {lineno}: negative size in p line")
+            if fields[0] > MAX_VERTICES:
+                raise ParseError(
+                    f"line {lineno}: {fields[0]} vertices exceed the limit of {MAX_VERTICES}"
+                )
             declared = (fields[0], fields[1])
             continue
         u, v = _int_fields(line, lineno, 2)
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex index")
+        if u >= MAX_VERTICES or v >= MAX_VERTICES:
+            raise ParseError(
+                f"line {lineno}: vertex index {max(u, v)} exceeds the limit of"
+                f" {MAX_VERTICES} vertices"
+            )
         raw_edges.append((u, v))
     if declared is not None:
         n, m = declared

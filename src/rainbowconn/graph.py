@@ -2,7 +2,10 @@
 
 Vertices are dense integer indices 0..n-1, adjacency lists are sorted, and all
 result types are immutable, so every routine here is deterministic and safe to
-share across threads.
+share across threads. Whole-graph facts (the diameter and the lowlink scan
+behind bridges, cut vertices and connectivity) are memoized on the immutable
+Graph, so each is computed at most once per graph; two threads racing on the
+first computation store the same immutable value.
 """
 
 from __future__ import annotations
@@ -47,6 +50,22 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def _diameter(self) -> int | None:
+        if self.n == 0:
+            return None
+        best = 0
+        for v in range(self.n):
+            layers = bfs_layers(self, v)
+            if UNREACHABLE in layers.dist:
+                return None
+            best = max(best, layers.eccentricity)
+        return best
+
+    @cached_property
+    def _lowlink(self) -> tuple[tuple[Edge, ...], tuple[int, ...], int]:
+        return _lowlink_scan(self)
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_set
@@ -127,22 +146,13 @@ def bfs_layers(g: Graph, center: int) -> BfsLayers:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return UNREACHABLE not in bfs_layers(g, 0).dist
+    """At most one component: the lowlink scan started at most one DFS root."""
+    return g._lowlink[2] <= 1
 
 
 def diameter(g: Graph) -> int | None:
     """Largest pairwise distance, or None when the graph is disconnected."""
-    if g.n == 0:
-        return None
-    best = 0
-    for v in range(g.n):
-        layers = bfs_layers(g, v)
-        if UNREACHABLE in layers.dist:
-            return None
-        best = max(best, layers.eccentricity)
-    return best
+    return g._diameter
 
 
 def components(g: Graph, *, without: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -172,19 +182,22 @@ def components(g: Graph, *, without: int | None = None) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
-def _lowlink_scan(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+def _lowlink_scan(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...], int]:
     # Iterative depth first search computing discovery and low times; an edge
     # (parent, v) is a bridge when low[v] > disc[parent], and parent is a cut
     # vertex when low[v] >= disc[parent] (roots need two or more children).
+    # Returns bridges, cut vertices and the number of DFS roots (components).
     n = g.n
     disc = [-1] * n
     low = [0] * n
     bridge_list: list[Edge] = []
     cut_set: set[int] = set()
     timer = 0
+    roots = 0
     for root in range(n):
         if disc[root] != -1:
             continue
+        roots += 1
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
@@ -216,17 +229,17 @@ def _lowlink_scan(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
                         cut_set.add(parent)
         if root_children >= 2:
             cut_set.add(root)
-    return tuple(sorted(bridge_list)), tuple(sorted(cut_set))
+    return tuple(sorted(bridge_list)), tuple(sorted(cut_set)), roots
 
 
 def bridges(g: Graph) -> tuple[Edge, ...]:
     """All bridges (edges whose removal disconnects their component), sorted."""
-    return _lowlink_scan(g)[0]
+    return g._lowlink[0]
 
 
 def cut_vertices(g: Graph) -> tuple[int, ...]:
     """All cut vertices (removal disconnects their component), ascending."""
-    return _lowlink_scan(g)[1]
+    return g._lowlink[1]
 
 
 def is_two_connected(g: Graph) -> bool:

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from rainbowconn import build_graph, cycle, parse_edge_list
+from rainbowconn import EdgeColoring, build_graph, cycle, parse_edge_list, petersen
 from rainbowconn.cli import (
     EXIT_BUDGET,
     EXIT_FAILED,
@@ -12,7 +12,7 @@ from rainbowconn.cli import (
     EXIT_OK,
     main,
 )
-from rainbowconn.fileio import format_edge_list
+from rainbowconn.fileio import MAX_VERTICES, format_edge_list
 from rainbowconn.report import parse_structured
 
 
@@ -126,6 +126,19 @@ def test_color_out_of_scope_exit2(tmp_path, capsys):
     assert main(["color", path]) == EXIT_INPUT
 
 
+def test_color_construction_failure_exit1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "rainbowconn.colorer.paint_partition",
+        lambda g, part: EdgeColoring.from_map({e: 1 for e in g.edges}),
+    )
+    monkeypatch.setattr("rainbowconn.exact._search_level", lambda *args: (None, 0, True))
+    path = write_graph(tmp_path, petersen())
+    assert main(["color", path, "--format", "structured"]) == EXIT_FAILED
+    rep = structured(capsys)
+    assert rep["outcome"]["verified"] is False
+    assert rep["outcome"]["failing_pair"] == [0, 2]
+
+
 def test_color_center_flag(tmp_path, capsys):
     gpath = write_graph(tmp_path, cycle(5))
     assert main(["color", gpath, "--center", "2", "--format", "structured"]) == EXIT_OK
@@ -224,6 +237,18 @@ def test_parse_error_exit2(tmp_path, capsys):
     path.write_text("p edge 3 1\n0 frog\n")
     assert main(["analyze", str(path)]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["p 1000000000 0\n", "0 1000000000\n"])
+def test_oversized_graph_exit2(tmp_path, capsys, monkeypatch, text):
+    def refuse_build(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr("rainbowconn.fileio.build_graph", refuse_build)
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == EXIT_INPUT
+    assert f"limit of {MAX_VERTICES}" in capsys.readouterr().err
 
 
 def test_missing_file_exit2(tmp_path):

@@ -11,6 +11,7 @@ from rainbowconn import (
     BridgelessCutVertex,
     CompleteLike,
     ConstructionFailure,
+    EdgeColoring,
     IndexOutOfRange,
     NotDiameterAtMost2,
     OutOfScopeGraph,
@@ -36,6 +37,7 @@ from rainbowconn import (
     wheel,
 )
 from rainbowconn.colorer import (
+    FOREST_RETRIES,
     build_link_graph,
     build_partition,
     paint_partition,
@@ -452,3 +454,35 @@ def test_construction_failure_carries_context():
     assert err.graph.n == 4
     assert err.failing_pair == (0, 2)
     assert err.attempts == 7
+
+
+# ---------------------------------------------------------------------------
+# repair tail: the exhaustive fallback and ConstructionFailure
+
+
+def paint_all_ones(g, part):
+    """A painter whose every coloring fails, forcing the whole repair loop."""
+    return EdgeColoring.from_map({e: 1 for e in g.edges})
+
+
+def test_exhaustive_fallback_rescues_a_failing_painter(monkeypatch):
+    monkeypatch.setattr("rainbowconn.colorer.paint_partition", paint_all_ones)
+    g = petersen()
+    out = color_two_connected(g)
+    assert out.provenance.style == "exhaustive-fallback"
+    assert out.provenance.variant == "level-3"
+    assert out.provenance.repair_used
+    assert out.colors_used == 3
+    assert out.certificate.connected
+    assert verify_rainbow_connected(g, out.coloring).connected
+
+
+def test_construction_failure_when_fallback_finds_nothing(monkeypatch):
+    monkeypatch.setattr("rainbowconn.colorer.paint_partition", paint_all_ones)
+    monkeypatch.setattr("rainbowconn.exact._search_level", lambda *args: (None, 0, True))
+    with pytest.raises(ConstructionFailure) as info:
+        color_two_connected(petersen())
+    assert info.value.failing_pair == (0, 2)
+    # Base plus mirrored orientation at each of the 10 centers, every round.
+    assert info.value.attempts == (FOREST_RETRIES + 1) * 20
+    assert info.value.graph == petersen()

@@ -4,6 +4,7 @@ from hypothesis import given
 from rainbowconn.coloring import EdgeColoring
 from rainbowconn.errors import ParseError
 from rainbowconn.fileio import (
+    MAX_VERTICES,
     format_coloring,
     format_edge_list,
     parse_coloring,
@@ -40,6 +41,32 @@ def test_parse_edge_list_rejects_garbage():
         parse_edge_list("")
     with pytest.raises(ParseError):
         parse_edge_list("0 1\np 2 1\n")
+
+
+def refuse_build(n, edges):
+    raise AssertionError(f"build_graph reached with n={n}")
+
+
+def test_parse_edge_list_rejects_oversized_p_line(monkeypatch):
+    monkeypatch.setattr("rainbowconn.fileio.build_graph", refuse_build)
+    with pytest.raises(ParseError, match=f"limit of {MAX_VERTICES}"):
+        parse_edge_list("p 1000000000 0\n")
+    with pytest.raises(ParseError, match=f"limit of {MAX_VERTICES}"):
+        parse_edge_list(f"p {MAX_VERTICES + 1} 1\n0 1\n")
+
+
+def test_parse_edge_list_rejects_oversized_index(monkeypatch):
+    monkeypatch.setattr("rainbowconn.fileio.build_graph", refuse_build)
+    with pytest.raises(ParseError, match=f"limit of {MAX_VERTICES}"):
+        parse_edge_list("0 1000000000\n")
+    with pytest.raises(ParseError, match=f"limit of {MAX_VERTICES}"):
+        parse_edge_list(f"p 4 2\n0 1\n{MAX_VERTICES} 2\n")
+
+
+def test_parse_edge_list_accepts_the_vertex_limit():
+    g = parse_edge_list(f"0 {MAX_VERTICES - 1}\n")
+    assert g.n == MAX_VERTICES
+    assert g.m == 1
 
 
 def test_parse_edge_list_isolated_vertices_need_header():

@@ -2,8 +2,18 @@ import pytest
 from hypothesis import given
 
 import oracles
+import rainbowconn.graph as graph_mod
+from rainbowconn.colorer import classify, color_diam2
 from rainbowconn.errors import IndexOutOfRange, InvalidEdge, IsolatedVertex
-from rainbowconn.generators import complete, complete_bipartite, cycle, petersen, star, wheel
+from rainbowconn.generators import (
+    complete,
+    complete_bipartite,
+    cycle,
+    petersen,
+    star,
+    tight_example,
+    wheel,
+)
 from rainbowconn.graph import (
     UNREACHABLE,
     bfs_layers,
@@ -175,3 +185,36 @@ def test_srg_matches_brute_force(g):
     else:
         assert got is not None
         assert (got.n, got.k, got.lam, got.mu) == want
+
+
+def test_structural_facts_are_computed_once(monkeypatch):
+    bfs_calls, scan_calls = [], []
+    real_bfs, real_scan = graph_mod.bfs_layers, graph_mod._lowlink_scan
+
+    def counting_bfs(g, center):
+        bfs_calls.append(g)
+        return real_bfs(g, center)
+
+    def counting_scan(g):
+        scan_calls.append(g)
+        return real_scan(g)
+
+    monkeypatch.setattr(graph_mod, "bfs_layers", counting_bfs)
+    monkeypatch.setattr(graph_mod, "_lowlink_scan", counting_scan)
+
+    g = petersen()
+    classify(g)
+    before = (len(bfs_calls), len(scan_calls))
+    assert before == (g.n, 1)
+    assert diameter(g) == 2
+    assert bridges(g) == ()
+    assert cut_vertices(g) == ()
+    assert is_connected(g)
+    assert is_two_connected(g)
+    assert (len(bfs_calls), len(scan_calls)) == before
+
+    for h in (petersen(), star(4), tight_example(2, 2), wheel(6)):
+        color_diam2(h)
+        # One all-sources BFS for the diameter and one lowlink scan, no more.
+        assert sum(1 for x in bfs_calls if x is h) == h.n
+        assert sum(1 for x in scan_calls if x is h) == 1

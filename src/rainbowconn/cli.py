@@ -485,7 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="construct and verify a rainbow coloring")
     p.add_argument("graph", help="edge-list file, or - for stdin")
-    p.add_argument("--center", type=int, default=None, help="preferred center vertex")
+    p.add_argument(
+        "--center",
+        type=int,
+        default=None,
+        help="preferred center vertex for 2-connected graphs",
+    )
     p.add_argument(
         "--all-centers", action="store_true", help="try every center from the start"
     )

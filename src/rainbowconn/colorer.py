@@ -9,10 +9,11 @@ each class has a construction with a color budget:
   two-connected            5 colors
 
 The constructions color edges by role around a center vertex. They are backed
-by an independent verifier: when a produced coloring fails verification, a
-bounded repair loop retries accent designations, side orientation, centers,
-and alternative spanning forests before falling back to a canonical search
-capped at five colors.
+by an independent verifier: when a two-connected coloring fails verification,
+a bounded repair loop retries accent designations, the mirrored side
+orientation, other centers and seeded alternative spanning forests, and
+raises ConstructionFailure if none verifies. Both cut-vertex classes share
+one construction.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import ClassVar
 from .coloring import EdgeColoring
 from .errors import (
     ConstructionFailure,
+    IndexOutOfRange,
     OutOfScopeGraph,
     StructureViolation,
     WrongCase,
@@ -49,9 +51,6 @@ MAX_ACCENT_VARIANTS = 64
 
 # Rounds of alternative randomized spanning forests tried during repair.
 FOREST_RETRIES = 8
-
-# Candidate cap for the last-resort canonical search at five colors.
-FALLBACK_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,11 @@ def guarantee_for(cls: Diam2Classification) -> int | None:
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a coloring was produced: construction route and repair effort."""
+    """How a coloring was produced: construction route and repair effort.
+
+    forest_seed names the alternative spanning-forest round that produced a
+    two-connected coloring, None for the deterministic forests.
+    """
 
     style: str
     center: int | None
@@ -222,62 +225,59 @@ def _finish_outcome(
 # Cut-vertex constructions
 
 
-def color_bridged(g: Graph, cls: BridgedCutVertex) -> ColoringOutcome:
-    """Color a diameter-2 graph with bridges inside its k+2 budget.
+def _color_cut_vertex(
+    g: Graph, cls: BridgedCutVertex | BridgelessCutVertex
+) -> ColoringOutcome:
+    """Color a diameter-2 graph with a cut vertex inside its class budget.
 
-    Bridges take distinct colors 1..k. When non-pendant components exist, a
-    spanning forest 2-colors their vertices; center-to-left edges get k+1,
-    center-to-right k+2, and component-internal edges reuse color 1.
+    Bridges take distinct colors 1..k. A spanning forest 2-colors the
+    vertices of the non-pendant components; with b = max(k, 1), center-left
+    edges get b+1, center-right edges b+2, and internal edges reuse color 1.
     """
-    if classify(g) != cls:
-        raise WrongCase("classification does not match the graph")
     v = cls.cut_vertex
     bridge_edges = bridges(g)
     mapping: dict[Edge, int] = {e: i for i, e in enumerate(bridge_edges, start=1)}
     k = len(bridge_edges)
-    nontrivial = cls.nontrivial_components
-    if not nontrivial and g.m != k:
+    b = max(k, 1)
+    subset = [u for comp in cls.components if len(comp) > 1 for u in comp]
+    if not subset and g.m != k:
         raise StructureViolation("pendant-only graph has non-bridge edges")
-    if nontrivial:
-        subset = [u for comp in nontrivial for u in comp]
+    if subset:
         fb = spanning_forest_bipartition(g, subset, require_no_isolated=True)
         for e in g.edges:
             if e in mapping:
                 continue
-            a, b = e
-            if a == v or b == v:
-                other = b if a == v else a
-                mapping[e] = k + 1 if other in fb.left else k + 2
+            a, c = e
+            if a == v or c == v:
+                other = c if a == v else a
+                mapping[e] = b + 1 if other in fb.left else b + 2
             else:
                 mapping[e] = 1
     coloring = EdgeColoring.from_map(mapping)
-    prov = Provenance("bridged", v, None, "base", 1, False)
-    return _finish_outcome(g, coloring, k + 2, cls, prov)
+    prov = Provenance("bridged" if k else "cut-vertex", v, None, "base", 1, False)
+    return _finish_outcome(g, coloring, b + 2, cls, prov)
+
+
+def color_bridged(g: Graph, cls: BridgedCutVertex) -> ColoringOutcome:
+    """Color a diameter-2 graph with k bridges inside its k+2 budget.
+
+    Bridges take distinct colors 1..k; center-to-left edges get k+1,
+    center-to-right k+2, and component-internal edges reuse color 1.
+    """
+    if classify(g) != cls:
+        raise WrongCase("classification does not match the graph")
+    return _color_cut_vertex(g, cls)
 
 
 def color_cutvertex_bridgeless(g: Graph, cls: BridgelessCutVertex) -> ColoringOutcome:
     """Three colors when the graph is bridgeless with a cut vertex.
 
-    Same scheme as the bridged case with no bridges left over: a spanning
-    forest of the punctured graph 2-colors everything, center-to-left edges
-    get 2, center-to-right 3, and all internal edges share color 1.
+    The bridged scheme with no bridges: center-to-left edges get 2,
+    center-to-right 3, and all internal edges share color 1.
     """
     if classify(g) != cls:
         raise WrongCase("classification does not match the graph")
-    v = cls.cut_vertex
-    subset = [u for comp in cls.components for u in comp]
-    fb = spanning_forest_bipartition(g, subset, require_no_isolated=True)
-    mapping: dict[Edge, int] = {}
-    for e in g.edges:
-        a, b = e
-        if a == v or b == v:
-            other = b if a == v else a
-            mapping[e] = 2 if other in fb.left else 3
-        else:
-            mapping[e] = 1
-    coloring = EdgeColoring.from_map(mapping)
-    prov = Provenance("cut-vertex", v, None, "base", 1, False)
-    return _finish_outcome(g, coloring, 3, cls, prov)
+    return _color_cut_vertex(g, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +319,6 @@ class NeighborhoodPartition:
     outer_left_only: frozenset[int]
     outer_right_only: frozenset[int]
     accent_edge_of: tuple[tuple[int, Edge], ...]
-    swapped: bool
-    link_graph: Graph | None = None
-    link_vertices: tuple[int, ...] | None = None
 
     @property
     def core(self) -> frozenset[int]:
@@ -379,16 +376,13 @@ def _finish_partition(
     core_left: set[int],
     core_right: set[int],
     outer_rest: frozenset[int],
-    link: LinkGraph | None = None,
 ) -> NeighborhoodPartition:
     both, left_only, right_only = _outer_split(g, outer_rest, inner_left, inner_right)
-    swapped = False
     if not left_only and right_only:
         # Mirror the sides so the one-sided group always sits on the left.
         inner_left, inner_right = inner_right, inner_left
         core_left, core_right = core_right, core_left
         left_only, right_only = right_only, left_only
-        swapped = True
     accents: list[tuple[int, Edge]] = []
     for u in sorted(left_only):
         nb = g.adj_sets[u]
@@ -412,9 +406,6 @@ def _finish_partition(
         frozenset(left_only),
         frozenset(right_only),
         tuple(accents),
-        swapped,
-        link.graph if link else None,
-        link.vertices if link else None,
     )
 
 
@@ -519,7 +510,7 @@ def partition_contact(
     layers = bfs_layers(g, center)
     ring2 = frozenset(layers.layer(2))
     return _finish_partition(
-        g, "contact", center, inner_left, inner_right, set(), set(), ring2, link
+        g, "contact", center, inner_left, inner_right, set(), set(), ring2
     )
 
 
@@ -630,7 +621,6 @@ def _swap_sides(part: NeighborhoodPartition) -> NeighborhoodPartition:
         inner_right=part.inner_left,
         core_left=part.core_right,
         core_right=part.core_left,
-        swapped=not part.swapped,
     )
 
 
@@ -667,9 +657,9 @@ def color_two_connected(
 
     Attempts run in a fixed order: the requested (or lowest-index) center
     first, accent re-designations, the mirrored orientation, other centers,
-    then seeded alternative spanning forests. Every attempt is verified; the
-    first verified coloring wins. If all attempts fail, a canonical search
-    capped at five colors is the last resort before ConstructionFailure.
+    then the same pass over seeded alternative spanning forests. Every
+    attempt is verified and the first verified coloring wins; if none
+    verifies, ConstructionFailure carries the first failing pair.
     """
     _require_two_connected(g)
     d = diameter(g)
@@ -708,22 +698,6 @@ def color_two_connected(
                     return ColoringOutcome(coloring, used, 5, cls, prov, cert)
                 if first_fail is None:
                     first_fail = cert.failing_pair
-    # Last resort: canonical search over colorings with at most five colors.
-    from .exact import _search_level, rc_lower_bound
-
-    tested = 0
-    for level in range(max(rc_lower_bound(g), 1), 6):
-        colors, t, exhausted = _search_level(g, level, FALLBACK_BUDGET - tested, tested, None)
-        tested += t
-        if colors is not None:
-            coloring = EdgeColoring.from_sequence(g, colors)
-            cert = verify_rainbow_connected(g, coloring, want_witnesses=False)
-            prov = Provenance(
-                "exhaustive-fallback", None, None, f"level-{level}", attempts + tested, True
-            )
-            return ColoringOutcome(coloring, coloring.colors_used, 5, cls, prov, cert)
-        if exhausted:
-            break
     raise ConstructionFailure(
         "no verified five-color construction found",
         graph=g,
@@ -746,8 +720,11 @@ def color_diam2(
 
     The returned outcome always carries a verified certificate, the class
     guarantee, and the provenance of the construction; colors_used never
-    exceeds the guarantee.
+    exceeds the guarantee. A center outside 0..n-1 raises IndexOutOfRange
+    whatever the class; only the two-connected construction reads it.
     """
+    if center is not None and not 0 <= center < g.n:
+        raise IndexOutOfRange(f"center {center} outside 0..{g.n - 1}")
     cls = classify(g)
     if isinstance(cls, NotDiameterAtMost2):
         d = diameter(g)
@@ -761,8 +738,6 @@ def color_diam2(
             cert = verify_rainbow_connected(g, coloring, want_witnesses=False)
             return ColoringOutcome(coloring, 0, 1, cls, prov, cert)
         return _finish_outcome(g, coloring, 1, cls, prov)
-    if isinstance(cls, BridgedCutVertex):
-        return color_bridged(g, cls)
-    if isinstance(cls, BridgelessCutVertex):
-        return color_cutvertex_bridgeless(g, cls)
+    if isinstance(cls, (BridgedCutVertex, BridgelessCutVertex)):
+        return _color_cut_vertex(g, cls)
     return color_two_connected(g, center=center, try_all_centers=try_all_centers)

@@ -4,6 +4,9 @@ Randomness comes from the standard library Mersenne Twister. A run is fully
 determined by its integer seed; batch tools derive independent child streams
 by seeding with the string "<seed>/<index>", which the random module hashes
 stably.
+
+GenSpec.build refuses a spec whose graph would exceed MAX_VERTICES vertices or
+MAX_EDGES edges before it builds anything.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import GenerationFailed, InvalidSpec
+from .fileio import MAX_VERTICES
 from .graph import Graph, bridges, build_graph, diameter, is_two_connected
+
+# Largest edge count a generator spec may ask for.
+MAX_EDGES = 1_000_000
 
 
 def cycle(n: int) -> Graph:
@@ -128,16 +135,19 @@ def random_diam2(
     )
 
 
-_FAMILIES = (
-    "cycle",
-    "complete",
-    "complete-bipartite",
-    "star",
-    "petersen",
-    "wheel",
-    "tight",
-    "random-diam2",
-)
+# Each family's size parameters, its builder (None for random-diam2, which
+# takes more parameters) and its (vertex count, edge count); for random-diam2
+# the edge count is the n(n-1)/2 pairs each try draws from.
+_FAMILIES = {
+    "cycle": (("n",), cycle, lambda n: (n, n)),
+    "complete": (("n",), complete, lambda n: (n, n * (n - 1) // 2)),
+    "complete-bipartite": (("s", "t"), complete_bipartite, lambda s, t: (s + t, s * t)),
+    "star": (("leaves",), star, lambda leaves: (leaves + 1, leaves)),
+    "petersen": ((), petersen, lambda: (10, 15)),
+    "wheel": (("rim",), wheel, lambda rim: (rim + 1, 2 * rim)),
+    "tight": (("k", "r"), tight_example, lambda k, r: (1 + k + 2 * r, k + 3 * r)),
+    "random-diam2": (("n",), None, lambda n: (n, n * (n - 1) // 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -170,20 +180,19 @@ class GenSpec:
             raise InvalidSpec(
                 f"unknown family {self.family!r}; choose one of {', '.join(_FAMILIES)}"
             )
-        if self.family == "cycle":
-            return GenResult(cycle(*self._need("n")), 1)
-        if self.family == "complete":
-            return GenResult(complete(*self._need("n")), 1)
-        if self.family == "complete-bipartite":
-            return GenResult(complete_bipartite(*self._need("s", "t")), 1)
-        if self.family == "star":
-            return GenResult(star(*self._need("leaves")), 1)
-        if self.family == "petersen":
-            return GenResult(petersen(), 1)
-        if self.family == "wheel":
-            return GenResult(wheel(*self._need("rim")), 1)
-        if self.family == "tight":
-            return GenResult(tight_example(*self._need("k", "r")), 1)
+        names, make, size = _FAMILIES[self.family]
+        args = self._need(*names)
+        vertices, edges = size(*args)
+        if vertices > MAX_VERTICES:
+            raise InvalidSpec(
+                f"{self.describe()}: {vertices} vertices exceed the limit of {MAX_VERTICES}"
+            )
+        if edges > MAX_EDGES:
+            raise InvalidSpec(
+                f"{self.describe()}: {edges} edges exceed the limit of {MAX_EDGES}"
+            )
+        if make is not None:
+            return GenResult(make(*args), 1)
         n, p, seed = self._need("n", "p", "seed")
         return random_diam2(
             n,

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from rainbowconn import EdgeColoring, build_graph, cycle, parse_edge_list, petersen
+from rainbowconn import EdgeColoring, build_graph, cycle, parse_edge_list, petersen, star
 from rainbowconn.cli import (
     EXIT_BUDGET,
     EXIT_FAILED,
@@ -13,6 +13,7 @@ from rainbowconn.cli import (
     main,
 )
 from rainbowconn.fileio import MAX_VERTICES, format_edge_list
+from rainbowconn.generators import MAX_EDGES
 from rainbowconn.report import parse_structured
 
 
@@ -131,7 +132,6 @@ def test_color_construction_failure_exit1(tmp_path, capsys, monkeypatch):
         "rainbowconn.colorer.paint_partition",
         lambda g, part: EdgeColoring.from_map({e: 1 for e in g.edges}),
     )
-    monkeypatch.setattr("rainbowconn.exact._search_level", lambda *args: (None, 0, True))
     path = write_graph(tmp_path, petersen())
     assert main(["color", path, "--format", "structured"]) == EXIT_FAILED
     rep = structured(capsys)
@@ -145,6 +145,12 @@ def test_color_center_flag(tmp_path, capsys):
     rep = structured(capsys)
     assert rep["outcome"]["verified"] is True
     assert main(["color", gpath, "--center", "11"]) == EXIT_INPUT
+
+
+def test_color_center_out_of_range_on_cut_vertex_graph(tmp_path, capsys):
+    gpath = write_graph(tmp_path, star(4))
+    assert main(["color", gpath, "--center", "99"]) == EXIT_INPUT
+    assert "center 99" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +311,37 @@ def test_gen_unknown_family():
 def test_gen_bad_param():
     assert main(["gen", "cycle", "n=2"]) == EXIT_INPUT
     assert main(["gen", "cycle"]) == EXIT_INPUT
+
+
+def refuse_generator_build(n, edges):
+    raise AssertionError(f"build_graph reached with n={n}")
+
+
+# Each spec is only just over a limit, so that a missing check builds a
+# modest edge list and then fails at the stub instead of exhausting memory.
+OVERSIZED_SPECS = [
+    (["cycle", f"n={MAX_VERTICES + 1}"], f"limit of {MAX_VERTICES}"),
+    (["complete", "n=1415"], f"limit of {MAX_EDGES}"),
+    (["complete-bipartite", "s=1001", "t=1000"], f"limit of {MAX_EDGES}"),
+    (["star", f"leaves={MAX_VERTICES}"], f"limit of {MAX_VERTICES}"),
+    (["wheel", f"rim={MAX_VERTICES}"], f"limit of {MAX_VERTICES}"),
+    (["tight", "k=2", f"r={MAX_VERTICES // 2}"], f"limit of {MAX_VERTICES}"),
+    (["random-diam2", "n=1415", "p=0.5"], f"limit of {MAX_EDGES}"),
+]
+
+
+@pytest.mark.parametrize("spec,message", OVERSIZED_SPECS)
+def test_gen_oversized_spec_exit2(capsys, monkeypatch, spec, message):
+    monkeypatch.setattr("rainbowconn.generators.build_graph", refuse_generator_build)
+    assert main(["gen", *spec]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [OVERSIZED_SPECS[0], OVERSIZED_SPECS[-1]])
+def test_fuzz_validate_oversized_spec_exit2(capsys, monkeypatch, spec, message):
+    monkeypatch.setattr("rainbowconn.generators.build_graph", refuse_generator_build)
+    assert main(["fuzz", "validate", *spec, "--count", "1"]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Classification, partitioning, and the guaranteed-budget constructions."""
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -36,6 +40,7 @@ from rainbowconn import (
     verify_rainbow_connected,
     wheel,
 )
+from rainbowconn import colorer
 from rainbowconn.colorer import (
     FOREST_RETRIES,
     build_link_graph,
@@ -68,6 +73,30 @@ def apex_blobs(*blob_sizes: int):
             edges.append((a, b))
         v += size
     return build_graph(v, edges)
+
+
+def cycle_completion(n: int, seed: int):
+    """A shuffled Hamiltonian cycle plus random chords, each joining two
+    vertices at distance three or more, until the diameter is 2."""
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:] + order[:1]):
+        adj[a].add(b)
+        adj[b].add(a)
+    while True:
+        far = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if v not in adj[u] and not adj[u] & adj[v]
+        ]
+        if not far:
+            return build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        u, v = rng.choice(far)
+        adj[u].add(v)
+        adj[v].add(u)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +252,20 @@ def test_color_cutvertex_wrong_case():
     cls = classify(windmill(2))
     with pytest.raises(WrongCase):
         color_cutvertex_bridgeless(windmill(3), cls)
+
+
+def test_color_diam2_classifies_a_cut_vertex_graph_once(monkeypatch):
+    calls = []
+    real = colorer.components
+
+    def counting(g, without=None):
+        calls.append(without)
+        return real(g, without=without)
+
+    monkeypatch.setattr(colorer, "components", counting)
+    out = color_diam2(tight_example(2, 3))
+    assert out.provenance.style == "bridged"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +425,33 @@ def test_provenance_repair_flag_matches_attempts():
         assert out.provenance.repair_used == (out.provenance.attempts > 1)
 
 
+def test_two_connected_atlas_graphs_all_colored():
+    # Every graph on at most 7 vertices: the construction alone, with no
+    # search behind it, must color each two-connected diameter-2 one.
+    nx = pytest.importorskip("networkx")
+    colored = 0
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        if not isinstance(classify(g), TwoConnected):
+            continue
+        out = color_two_connected(g)
+        assert out.colors_used <= 5
+        assert verify_rainbow_connected(g, out.coloring).connected
+        colored += 1
+    assert colored == 386
+
+
+def test_forest_reseed_rescues_a_two_connected_graph():
+    # Every base, accent and mirrored attempt at all 33 centers fails on this
+    # graph; the first alternative spanning forest verifies.
+    g = cycle_completion(33, 25)
+    assert isinstance(classify(g), TwoConnected)
+    out = color_two_connected(g)
+    assert out.provenance.forest_seed == 1
+    assert out.colors_used <= 5
+    assert verify_rainbow_connected(g, out.coloring).connected
+
+
 def test_two_connected_seeded_stress():
     colored = 0
     for seed in range(200):
@@ -435,6 +505,13 @@ def test_color_diam2_out_of_scope():
         color_diam2(build_graph(4, [(0, 1), (2, 3)]))
 
 
+def test_color_diam2_rejects_center_out_of_range():
+    with pytest.raises(IndexOutOfRange):
+        color_diam2(petersen(), center=10, try_all_centers=True)
+    with pytest.raises(IndexOutOfRange):
+        color_diam2(star(3), center=-1)
+
+
 def test_color_diam2_never_exceeds_guarantee_random():
     checked = 0
     for seed in range(120):
@@ -457,7 +534,7 @@ def test_construction_failure_carries_context():
 
 
 # ---------------------------------------------------------------------------
-# repair tail: the exhaustive fallback and ConstructionFailure
+# repair tail: ConstructionFailure
 
 
 def paint_all_ones(g, part):
@@ -465,24 +542,27 @@ def paint_all_ones(g, part):
     return EdgeColoring.from_map({e: 1 for e in g.edges})
 
 
-def test_exhaustive_fallback_rescues_a_failing_painter(monkeypatch):
-    monkeypatch.setattr("rainbowconn.colorer.paint_partition", paint_all_ones)
-    g = petersen()
-    out = color_two_connected(g)
-    assert out.provenance.style == "exhaustive-fallback"
-    assert out.provenance.variant == "level-3"
-    assert out.provenance.repair_used
-    assert out.colors_used == 3
-    assert out.certificate.connected
-    assert verify_rainbow_connected(g, out.coloring).connected
-
-
 def test_construction_failure_when_fallback_finds_nothing(monkeypatch):
     monkeypatch.setattr("rainbowconn.colorer.paint_partition", paint_all_ones)
-    monkeypatch.setattr("rainbowconn.exact._search_level", lambda *args: (None, 0, True))
     with pytest.raises(ConstructionFailure) as info:
         color_two_connected(petersen())
     assert info.value.failing_pair == (0, 2)
     # Base plus mirrored orientation at each of the 10 centers, every round.
     assert info.value.attempts == (FOREST_RETRIES + 1) * 20
     assert info.value.graph == petersen()
+
+
+def test_colorer_imports_nothing_from_exact():
+    # The constructions stand on their own: no search stands behind them.
+    tree = ast.parse(Path(colorer.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = module.removeprefix("rainbowconn.").strip(".").split(".")
+            assert parts[0] != "exact", f"colorer imports {module}"

@@ -10,16 +10,14 @@ each class has a construction with a color budget:
 
 The constructions color edges by role around a center vertex. They are backed
 by an independent verifier: when a two-connected coloring fails verification,
-a bounded repair loop retries accent designations, the mirrored side
-orientation, other centers and seeded alternative spanning forests, and
-raises ConstructionFailure if none verifies. Both cut-vertex classes share
+the lifted partition of the same center is tried, then the next center, and
+ConstructionFailure is raised if none verifies. Both cut-vertex classes share
 one construction.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 from .coloring import EdgeColoring
@@ -45,12 +43,6 @@ from .graph import (
     spanning_forest_bipartition,
 )
 from .verify import RainbowCertificate, verify_rainbow_connected
-
-# Bound on accent re-designation variants tried per partition during repair.
-MAX_ACCENT_VARIANTS = 64
-
-# Rounds of alternative randomized spanning forests tried during repair.
-FOREST_RETRIES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +166,9 @@ def guarantee_for(cls: Diam2Classification) -> int | None:
 class Provenance:
     """How a coloring was produced: construction route and repair effort.
 
-    forest_seed names the alternative spanning-forest round that produced a
-    two-connected coloring, None for the deterministic forests.
+    variant is "base", or "lifted" when a two-connected coloring came from
+    the lifted partition of its center. forest_seed is always None; it stays
+    so that reports and the benchmark keep their schema.
     """
 
     style: str
@@ -410,7 +403,7 @@ def _finish_partition(
 
 
 def partition_linked_outer(
-    g: Graph, center: int, *, rng: random.Random | None = None
+    g: Graph, center: int, *, lift: bool = False
 ) -> NeighborhoodPartition:
     """Partition for centers whose outer ring spans at least one edge.
 
@@ -418,6 +411,8 @@ def partition_linked_outer(
     forest. Inner vertices adjacent to the core's left side go left, the rest
     of the core-adjacent ones go right, and each leftover inner vertex joins
     the side opposite a seeded neighbor, which always exists at diameter 2.
+    With lift set, a core-right vertex with no inner-right neighbor first
+    moves right its least inner-left neighbor that no core-left vertex needs.
     """
     _require_two_connected(g)
     layers = bfs_layers(g, center)
@@ -428,7 +423,7 @@ def partition_linked_outer(
     core = {u for u in ring2 if g.adj_sets[u] & ring2}
     if not core:
         raise WrongCase("outer ring is independent; use the contact construction")
-    fb = spanning_forest_bipartition(g, core, require_no_isolated=True, rng=rng)
+    fb = spanning_forest_bipartition(g, core, require_no_isolated=True)
     core_left, core_right = set(fb.left), set(fb.right)
     inner_left: set[int] = set()
     inner_right: set[int] = set()
@@ -441,6 +436,19 @@ def partition_linked_outer(
             inner_right.add(u)
         else:
             leftovers.append(u)
+    if lift:
+        # With every core-left x next to IL and every core-right y next to IR,
+        # each core pair has a rainbow path: x1 -4- IL -1- c -2- IR -5- y -3- x2,
+        # its mirror, and x -4- IL -1- c -2- IR -5- y. The rule above gives x's half.
+        for y in sorted(core_right):
+            nb = g.adj_sets[y]
+            if nb & inner_right:
+                continue
+            for a in sorted(nb & inner_left):
+                if all(g.adj_sets[x] & inner_left - {a} for x in g.adj_sets[a] & core_left):
+                    inner_left.remove(a)
+                    inner_right.add(a)
+                    break
     seed_left = frozenset(inner_left)
     seed_right = frozenset(inner_right)
     for u in leftovers:
@@ -490,9 +498,7 @@ def build_link_graph(g: Graph, center: int) -> LinkGraph:
     return LinkGraph(h, ring1)
 
 
-def partition_contact(
-    g: Graph, center: int, *, rng: random.Random | None = None
-) -> NeighborhoodPartition:
+def partition_contact(g: Graph, center: int) -> NeighborhoodPartition:
     """Partition for centers whose outer ring is an independent set.
 
     A spanning tree of the contact graph 2-colors the inner ring; the outer
@@ -503,7 +509,6 @@ def partition_contact(
         link.graph,
         range(link.graph.n),
         require_no_isolated=link.graph.n > 1,
-        rng=rng,
     )
     inner_left = {link.vertices[i] for i in fb.left}
     inner_right = {link.vertices[i] for i in fb.right}
@@ -515,15 +520,15 @@ def partition_contact(
 
 
 def build_partition(
-    g: Graph, center: int, *, rng: random.Random | None = None
+    g: Graph, center: int, *, lift: bool = False
 ) -> NeighborhoodPartition:
-    """Choose the partition style for this center by probing the outer ring."""
+    """Choose the partition style by probing the outer ring; only linked-outer lifts."""
     _require_two_connected(g)
     layers = bfs_layers(g, center)
     ring2 = frozenset(layers.layer(2)) if layers.eccentricity >= 2 else frozenset()
     if any(g.adj_sets[u] & ring2 for u in ring2):
-        return partition_linked_outer(g, center, rng=rng)
-    return partition_contact(g, center, rng=rng)
+        return partition_linked_outer(g, center, lift=lift)
+    return partition_contact(g, center)
 
 
 # ---------------------------------------------------------------------------
@@ -614,37 +619,13 @@ def paint_partition(g: Graph, part: NeighborhoodPartition) -> EdgeColoring:
 # Two-connected construction with repair
 
 
-def _swap_sides(part: NeighborhoodPartition) -> NeighborhoodPartition:
-    return replace(
-        part,
-        inner_left=part.inner_right,
-        inner_right=part.inner_left,
-        core_left=part.core_right,
-        core_right=part.core_left,
-    )
-
-
-def _partition_variants(g: Graph, part: NeighborhoodPartition):
-    """Base coloring plus bounded repair variants, in deterministic order."""
-    yield "base", part
-    accents = part.accent_map()
-    emitted = 0
-    for u in sorted(accents):
-        current = accents[u]
-        for x in sorted(g.adj_sets[u]):
-            e = normalize_edge(u, x)
-            if e == current:
-                continue
-            if emitted >= MAX_ACCENT_VARIANTS:
-                break
-            emitted += 1
-            changed = dict(accents)
-            changed[u] = e
-            yield f"accent {u}->{x}", replace(
-                part, accent_edge_of=tuple(sorted(changed.items()))
-            )
-    if not part.outer_left_only and not part.outer_right_only:
-        yield "swapped", _swap_sides(part)
+def _center_partitions(g: Graph, center: int):
+    """The base partition, then the lifted one when it differs, built lazily."""
+    base = build_partition(g, center)
+    yield "base", base
+    lifted = build_partition(g, center, lift=True)
+    if lifted != base:
+        yield "lifted", lifted
 
 
 def color_two_connected(
@@ -655,11 +636,11 @@ def color_two_connected(
 ) -> ColoringOutcome:
     """Five colors for a 2-connected graph of diameter at most 2.
 
-    Attempts run in a fixed order: the requested (or lowest-index) center
-    first, accent re-designations, the mirrored orientation, other centers,
-    then the same pass over seeded alternative spanning forests. Every
-    attempt is verified and the first verified coloring wins; if none
-    verifies, ConstructionFailure carries the first failing pair.
+    Centers run in a fixed order: the requested (or lowest-index) center
+    first, then the rest ascending. At each center the base partition is
+    painted, and when it fails verification the lifted partition, if it
+    differs. The first verified coloring wins; if none verifies,
+    ConstructionFailure carries the first failing pair.
     """
     _require_two_connected(g)
     d = diameter(g)
@@ -673,31 +654,15 @@ def color_two_connected(
     cls = TwoConnected()
     attempts = 0
     first_fail: tuple[int, int] | None = None
-    for round_idx in range(FOREST_RETRIES + 1):
-        forest_seed = None if round_idx == 0 else round_idx
-        for c in center_order:
-            rng = (
-                random.Random(f"forest/{forest_seed}/{c}")
-                if forest_seed is not None
-                else None
-            )
-            part = build_partition(g, c, rng=rng)
-            for variant, candidate in _partition_variants(g, part):
-                coloring = paint_partition(g, candidate)
-                attempts += 1
-                cert = verify_rainbow_connected(g, coloring, want_witnesses=False)
-                if cert.connected:
-                    used = coloring.colors_used
-                    if used > 5:
-                        raise StructureViolation(
-                            f"two-connected construction used {used} colors"
-                        )
-                    prov = Provenance(
-                        part.style, c, forest_seed, variant, attempts, attempts > 1
-                    )
-                    return ColoringOutcome(coloring, used, 5, cls, prov, cert)
+    for c in center_order:
+        for variant, part in _center_partitions(g, c):
+            attempts += 1
+            prov = Provenance(part.style, c, None, variant, attempts, attempts > 1)
+            try:
+                return _finish_outcome(g, paint_partition(g, part), 5, cls, prov)
+            except ConstructionFailure as exc:
                 if first_fail is None:
-                    first_fail = cert.failing_pair
+                    first_fail = exc.failing_pair
     raise ConstructionFailure(
         "no verified five-color construction found",
         graph=g,

@@ -175,6 +175,11 @@ class GenSpec:
             )
         return [self.params[name] for name in names]
 
+    def _check_type(self, name: str, value, kinds: tuple, what: str) -> None:
+        # bool is an int subclass, but True is no size or probability.
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise InvalidSpec(f"{self.describe()}: {name} must be {what}, got {value!r}")
+
     def build(self) -> GenResult:
         if self.family not in _FAMILIES:
             raise InvalidSpec(
@@ -182,6 +187,8 @@ class GenSpec:
             )
         names, make, size = _FAMILIES[self.family]
         args = self._need(*names)
+        for name, value in zip(names, args):
+            self._check_type(name, value, (int,), "an integer")
         vertices, edges = size(*args)
         if vertices > MAX_VERTICES:
             raise InvalidSpec(
@@ -194,11 +201,14 @@ class GenSpec:
         if make is not None:
             return GenResult(make(*args), 1)
         n, p, seed = self._need("n", "p", "seed")
+        max_tries = self.params.get("max_tries", 200)
+        self._check_type("p", p, (int, float), "a real number")
+        self._check_type("max_tries", max_tries, (int,), "an integer")
         return random_diam2(
             n,
             p,
             seed,
-            max_tries=self.params.get("max_tries", 200),
+            max_tries=max_tries,
             require_bridgeless=bool(self.params.get("bridgeless", False)),
             require_two_connected=bool(self.params.get("two_connected", False)),
         )

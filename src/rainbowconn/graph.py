@@ -276,14 +276,12 @@ def spanning_forest_bipartition(
     subset: Iterable[int],
     *,
     require_no_isolated: bool = False,
-    rng=None,
 ) -> ForestBipartition:
     """Depth first spanning forest of the subgraph induced on subset.
 
     Each component is rooted at its lowest index and explored in ascending
-    neighbor order, so the result is deterministic; passing rng shuffles the
-    neighbor order to sample alternative forests. Roots sit on the left side
-    and tree depth alternates sides.
+    neighbor order, so the result is deterministic. Roots sit on the left
+    side and tree depth alternates sides.
     """
     chosen = sorted(set(subset))
     for v in chosen:
@@ -295,8 +293,6 @@ def spanning_forest_bipartition(
         nbrs = [w for w in g.adj[v] if w in inside]
         if require_no_isolated and not nbrs:
             raise IsolatedVertex(f"vertex {v} has no neighbor inside the subset")
-        if rng is not None:
-            rng.shuffle(nbrs)
         order[v] = nbrs
     side: dict[int, int] = {}
     forest: list[Edge] = []

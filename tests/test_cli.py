@@ -344,6 +344,27 @@ def test_fuzz_validate_oversized_spec_exit2(capsys, monkeypatch, spec, message):
     assert message in capsys.readouterr().err
 
 
+WRONG_TYPED_SPECS = [
+    (["cycle", "n=abc"], "n must be an integer"),
+    (["cycle", "n=7.5"], "n must be an integer"),
+    (["tight", "k=1", "r=x"], "r must be an integer"),
+    (["random-diam2", "n=8", "p=abc"], "p must be a real number"),
+    (["random-diam2", "n=8", "p=0.5", "max_tries=2.5"], "max_tries must be an integer"),
+]
+
+
+@pytest.mark.parametrize("spec,message", WRONG_TYPED_SPECS)
+def test_gen_wrong_typed_spec_exit2(capsys, spec, message):
+    assert main(["gen", *spec]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", WRONG_TYPED_SPECS)
+def test_fuzz_validate_wrong_typed_spec_exit2(capsys, spec, message):
+    assert main(["fuzz", "validate", *spec, "--count", "1"]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 

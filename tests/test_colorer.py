@@ -42,7 +42,6 @@ from rainbowconn import (
 )
 from rainbowconn import colorer
 from rainbowconn.colorer import (
-    FOREST_RETRIES,
     build_link_graph,
     build_partition,
     paint_partition,
@@ -425,31 +424,61 @@ def test_provenance_repair_flag_matches_attempts():
         assert out.provenance.repair_used == (out.provenance.attempts > 1)
 
 
-def test_two_connected_atlas_graphs_all_colored():
-    # Every graph on at most 7 vertices: the construction alone, with no
-    # search behind it, must color each two-connected diameter-2 one.
+def two_connected_atlas_graphs():
     nx = pytest.importorskip("networkx")
-    colored = 0
     for h in nx.graph_atlas_g():
         g = build_graph(h.number_of_nodes(), h.edges())
-        if not isinstance(classify(g), TwoConnected):
-            continue
+        if isinstance(classify(g), TwoConnected):
+            yield g
+
+
+def test_two_connected_atlas_graphs_all_colored():
+    # Every graph on at most 7 vertices: the construction alone, with no
+    # search behind it, must color each two-connected diameter-2 one, and
+    # the base or lifted partition of the first center suffices.
+    colored = 0
+    for g in two_connected_atlas_graphs():
         out = color_two_connected(g)
         assert out.colors_used <= 5
+        assert out.provenance.attempts <= 2
+        assert out.provenance.forest_seed is None
         assert verify_rainbow_connected(g, out.coloring).connected
         colored += 1
     assert colored == 386
 
 
-def test_forest_reseed_rescues_a_two_connected_graph():
-    # Every base, accent and mirrored attempt at all 33 centers fails on this
-    # graph; the first alternative spanning forest verifies.
-    g = cycle_completion(33, 25)
-    assert isinstance(classify(g), TwoConnected)
-    out = color_two_connected(g)
-    assert out.provenance.forest_seed == 1
-    assert out.colors_used <= 5
-    assert verify_rainbow_connected(g, out.coloring).connected
+def test_lifted_partition_gives_each_core_vertex_its_own_side():
+    # The lemma behind the lifted partition: every core-left vertex keeps an
+    # inner-left neighbor, and once every core-right vertex also has an
+    # inner-right one, the painted coloring verifies.
+    linked = covered = 0
+    for g in two_connected_atlas_graphs():
+        for c in range(g.n):
+            part = build_partition(g, c, lift=True)
+            if part.style != "linked-outer":
+                continue
+            linked += 1
+            assert all(g.adj_sets[x] & part.inner_left for x in part.core_left)
+            if all(g.adj_sets[y] & part.inner_right for y in part.core_right):
+                assert verify_rainbow_connected(g, paint_partition(g, part)).connected
+                covered += 1
+    assert (linked, covered) == (1524, 1346)
+
+
+def test_lifted_partition_rescues_two_connected_graphs():
+    # Sparse graphs on which the base partition fails at every center; the
+    # lifted partition verifies at center 0, or at center 1.
+    seeds = (90, 859, 965, 1038, 1259, 1363, 1726, 1796, 1830, 2051, 2371)
+    cases = [(33, 25)] + [(5 + s % 36, s) for s in seeds] + [(11, 10282)]
+    for n, seed in cases:
+        g = cycle_completion(n, seed)
+        assert isinstance(classify(g), TwoConnected)
+        out = color_two_connected(g)
+        assert out.provenance.variant == "lifted"
+        assert out.provenance.forest_seed is None
+        assert out.provenance.attempts <= 4
+        assert out.colors_used <= 5
+        assert verify_rainbow_connected(g, out.coloring).connected
 
 
 def test_two_connected_seeded_stress():
@@ -547,8 +576,9 @@ def test_construction_failure_when_fallback_finds_nothing(monkeypatch):
     with pytest.raises(ConstructionFailure) as info:
         color_two_connected(petersen())
     assert info.value.failing_pair == (0, 2)
-    # Base plus mirrored orientation at each of the 10 centers, every round.
-    assert info.value.attempts == (FOREST_RETRIES + 1) * 20
+    # The base partition at each of the 10 centers; Petersen's lifted
+    # partitions equal the base ones, so none is painted twice.
+    assert info.value.attempts == 10
     assert info.value.graph == petersen()
 
 

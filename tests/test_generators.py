@@ -114,6 +114,21 @@ def test_genspec_errors():
         GenSpec("random-diam2", {"n": 8}).build()
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("complete", {"n": True}),
+        ("complete-bipartite", {"s": 2, "t": 3.0}),
+        ("random-diam2", {"n": 8, "p": True, "seed": 1}),
+        ("random-diam2", {"n": 8, "p": 0.5, "seed": 1, "max_tries": True}),
+    ],
+)
+def test_genspec_rejects_wrong_typed_params(family, params):
+    # bool is an int subclass, so it needs its own refusal.
+    with pytest.raises(InvalidSpec):
+        GenSpec(family, params).build()
+
+
 def test_genspec_describe_is_stable():
     spec = GenSpec("random-diam2", {"p": 0.4, "n": 9, "seed": 2})
     assert spec.describe() == "family=random-diam2 n=9 p=0.4 seed=2"

@@ -29,6 +29,7 @@ from .errors import (
     WrongCase,
 )
 from .graph import (
+    BfsLayers,
     Edge,
     Graph,
     bfs_layers,
@@ -415,9 +416,16 @@ def partition_linked_outer(
     moves right its least inner-left neighbor that no core-left vertex needs.
     """
     _require_two_connected(g)
-    layers = bfs_layers(g, center)
+    return _partition_linked_outer(g, bfs_layers(g, center), lift)
+
+
+def _partition_linked_outer(
+    g: Graph, layers: BfsLayers, lift: bool
+) -> NeighborhoodPartition:
     if layers.eccentricity != 2:
-        raise WrongCase(f"center {center} has eccentricity {layers.eccentricity}, not 2")
+        raise WrongCase(
+            f"center {layers.center} has eccentricity {layers.eccentricity}, not 2"
+        )
     ring1 = layers.layer(1)
     ring2 = frozenset(layers.layer(2))
     core = {u for u in ring2 if g.adj_sets[u] & ring2}
@@ -460,8 +468,8 @@ def partition_linked_outer(
         else:
             raise StructureViolation(f"inner vertex {u} sees neither seeded side")
     return _finish_partition(
-        g, "linked-outer", center, inner_left, inner_right, core_left, core_right,
-        ring2 - core,
+        g, "linked-outer", layers.center, inner_left, inner_right, core_left,
+        core_right, ring2 - core,
     )
 
 
@@ -474,9 +482,12 @@ def build_link_graph(g: Graph, center: int) -> LinkGraph:
     connected for every center of a 2-connected diameter-2 graph.
     """
     _require_two_connected(g)
-    layers = bfs_layers(g, center)
+    return _build_link_graph(g, bfs_layers(g, center))
+
+
+def _build_link_graph(g: Graph, layers: BfsLayers) -> LinkGraph:
     if layers.eccentricity > 2:
-        raise WrongCase(f"center {center} has eccentricity {layers.eccentricity}")
+        raise WrongCase(f"center {layers.center} has eccentricity {layers.eccentricity}")
     ring1 = layers.layer(1)
     ring2 = frozenset(layers.layer(2))
     for u in ring2:
@@ -504,7 +515,12 @@ def partition_contact(g: Graph, center: int) -> NeighborhoodPartition:
     A spanning tree of the contact graph 2-colors the inner ring; the outer
     ring is then grouped by which inner sides it touches.
     """
-    link = build_link_graph(g, center)
+    _require_two_connected(g)
+    return _partition_contact(g, bfs_layers(g, center))
+
+
+def _partition_contact(g: Graph, layers: BfsLayers) -> NeighborhoodPartition:
+    link = _build_link_graph(g, layers)
     fb = spanning_forest_bipartition(
         link.graph,
         range(link.graph.n),
@@ -512,10 +528,9 @@ def partition_contact(g: Graph, center: int) -> NeighborhoodPartition:
     )
     inner_left = {link.vertices[i] for i in fb.left}
     inner_right = {link.vertices[i] for i in fb.right}
-    layers = bfs_layers(g, center)
-    ring2 = frozenset(layers.layer(2))
     return _finish_partition(
-        g, "contact", center, inner_left, inner_right, set(), set(), ring2
+        g, "contact", layers.center, inner_left, inner_right, set(), set(),
+        frozenset(layers.layer(2)),
     )
 
 
@@ -524,11 +539,14 @@ def build_partition(
 ) -> NeighborhoodPartition:
     """Choose the partition style by probing the outer ring; only linked-outer lifts."""
     _require_two_connected(g)
-    layers = bfs_layers(g, center)
-    ring2 = frozenset(layers.layer(2)) if layers.eccentricity >= 2 else frozenset()
+    return _build_partition(g, bfs_layers(g, center), lift)
+
+
+def _build_partition(g: Graph, layers: BfsLayers, lift: bool) -> NeighborhoodPartition:
+    ring2 = frozenset(layers.layer(2))
     if any(g.adj_sets[u] & ring2 for u in ring2):
-        return partition_linked_outer(g, center, lift=lift)
-    return partition_contact(g, center)
+        return _partition_linked_outer(g, layers, lift)
+    return _partition_contact(g, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +638,12 @@ def paint_partition(g: Graph, part: NeighborhoodPartition) -> EdgeColoring:
 
 
 def _center_partitions(g: Graph, center: int):
-    """The base partition, then the lifted one when it differs, built lazily."""
-    base = build_partition(g, center)
+    """The base partition, then the lifted one when it differs, built lazily
+    from one BFS of the center."""
+    layers = bfs_layers(g, center)
+    base = _build_partition(g, layers, False)
     yield "base", base
-    lifted = build_partition(g, center, lift=True)
+    lifted = _build_partition(g, layers, True)
     if lifted != base:
         yield "lifted", lifted
 

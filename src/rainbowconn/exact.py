@@ -125,7 +125,6 @@ def _search_level(
     Rejection is cheap for most candidates: the most recently failing pair is
     rechecked first and usually still fails, skipping the all-pairs scan.
     """
-    n = g.n
     inc = incidence(g)
     tested = 0
     cached: tuple[int, int] | None = None
@@ -138,7 +137,7 @@ def _search_level(
         bits = [1 << (c - 1) for c in colors]
         if cached is not None and not pair_connected(inc, classes, bits, *cached):
             continue
-        failing = least_failing_pair(n, inc, classes, bits)
+        failing = least_failing_pair(g, classes, bits)
         if failing is None:
             return colors, tested, False
         cached = failing

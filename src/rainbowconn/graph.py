@@ -5,14 +5,18 @@ result types are immutable, so every routine here is deterministic and safe to
 share across threads. Whole-graph facts (the diameter and the lowlink scan
 behind bridges, cut vertices and connectivity) are memoized on the immutable
 Graph, so each is computed at most once per graph; two threads racing on the
-first computation store the same immutable value.
+first computation store the same immutable value. The diameter has a fast
+path: a complete graph gives 1, and any other graph in which every vertex
+reaches all vertices within two steps gives 2, a test run on int bitsets.
+Only the remaining graphs pay for a breadth-first search from every source.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable
 
 from .errors import IndexOutOfRange, InvalidEdge, IsolatedVertex
@@ -48,13 +52,25 @@ class Graph:
         return tuple(frozenset(nbrs) for nbrs in self.adj)
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def _diameter(self) -> int | None:
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return None
+        if self.is_complete():
+            return 1 if n > 1 else 0
+        # Diameter 2 test on int bitsets: the closed neighborhoods of N[u]
+        # cover every vertex, for every u.
+        closed = [1 << v for v in range(n)]
+        for u, v in self.edges:
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+        full = (1 << n) - 1
+        if all(
+            reduce(or_, map(closed.__getitem__, nbrs), closed[u]) == full
+            for u, nbrs in enumerate(self.adj)
+        ):
+            return 2
+        # Otherwise the exact value (or None) comes from BFS from every source.
         best = 0
         for v in range(self.n):
             layers = bfs_layers(self, v)

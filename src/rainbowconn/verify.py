@@ -1,27 +1,32 @@
 """Independent verification that a coloring makes a graph rainbow connected.
 
 A graph with colored edges is rainbow connected when every vertex pair is
-joined by a path whose edge colors are pairwise distinct. Every check runs on
-one search: a breadth-first search from a source over (vertex,
-used-color-bitmask) states, which crosses off each target vertex as it reaches
-it and stops once none is left. Its cost is bounded by n * 2^k states per
-source, k being the number of distinct colors, regardless of path structure.
-When every edge has its own color, any shortest path is rainbow, so a plain
-breadth-first search decides instead and no color cap applies. The checker
-never trusts the construction code: everything is recomputed from the graph
-and the coloring alone.
+joined by a path whose edge colors are pairwise distinct. All pairs are
+certified at once by a reach table on int bitsets: level l maps each set of l
+colors to a row whose entry at v is the set of sources reaching v by a walk
+that uses exactly those colors, one edge each. Level l + 1 comes from level l
+by OR-ing rows along the edges of each unused color. A rainbow walk shortens
+to a rainbow path, so a pair is connected exactly when some row holds it, and
+witnesses walk back through the levels. With k distinct colors the table has
+at most 2^k rows. Single-pair queries run a breadth-first search from the
+source over (vertex, used-color-bitmask) states instead, which stops at the
+target. When every edge has its own color, any shortest path is rainbow, so
+a plain breadth-first search decides instead and no color cap applies. The
+checker never trusts the construction code: everything is recomputed from
+the graph and the coloring alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 from .coloring import EdgeColoring
 from .errors import CapExceeded, IndexOutOfRange
 from .graph import Graph, UNREACHABLE
 
-# Bitmask cap on distinct colors: states fit n * 2^16 in the worst case the
-# API accepts.
+# Bitmask cap on distinct colors: the reach table and the state search hold
+# at most 2^16 color masks per vertex in the worst case the API accepts.
 DEFAULT_COLOR_CAP = 16
 
 Pair = tuple[int, int]
@@ -34,7 +39,8 @@ class RainbowCertificate:
     connected is the verdict. When it is False, failing_pair holds the
     lexicographically least pair with no rainbow path. When witnesses were
     requested and the verdict is Connected, witnesses maps every pair (u, w)
-    with u < w to one rainbow path, vertex list inclusive of both ends.
+    with u < w to one shortest rainbow path, vertex list inclusive of both
+    ends.
     """
 
     connected: bool
@@ -61,19 +67,17 @@ def _unwind(pred, end: int, start: int) -> list:
 
 
 def _rainbow_search(
-    inc, cbits: int, bits: list[int], s: int, targets: set[int], paths=None
-) -> None:
+    inc, cbits: int, bits: list[int], s: int, t: int, pred: dict | None = None
+) -> int | None:
     """Breadth-first search from s over states (v << cbits) | used-color mask.
 
-    Removes each vertex it reaches from targets and stops once targets is
-    empty. When paths is a dict, it receives for every target reached the
-    rainbow path to the state that first reached it.
+    Returns the first state at t, or None when no rainbow path reaches t.
+    When pred is a dict, it receives the predecessor of every state reached.
     """
     mask_all = (1 << cbits) - 1
     start = s << cbits
     seen = {start}
     queue = [start]
-    pred = None if paths is None else {}
     for key in queue:
         mask = key & mask_all
         for w, e in inc[key >> cbits]:
@@ -87,12 +91,9 @@ def _rainbow_search(
             queue.append(nk)
             if pred is not None:
                 pred[nk] = key
-            if w in targets:
-                targets.remove(w)
-                if pred is not None:
-                    paths[w] = tuple(k >> cbits for k in _unwind(pred, nk, start))
-                if not targets:
-                    return
+            if w == t:
+                return nk
+    return None
 
 
 def _bfs_parents(g: Graph, s: int) -> list[int]:
@@ -110,29 +111,125 @@ def _bfs_parents(g: Graph, s: int) -> list[int]:
 
 def pair_connected(inc, cbits: int, bits: list[int], s: int, t: int) -> bool:
     """Is there a rainbow path from s to t? Verdict only, early exit."""
-    if s == t:
-        return True
-    targets = {t}
-    _rainbow_search(inc, cbits, bits, s, targets)
-    return not targets
+    return s == t or _rainbow_search(inc, cbits, bits, s, t) is not None
+
+
+def _reach_table(
+    g: Graph, cbits: int, bits: list[int], keep_levels: bool
+) -> tuple[list[dict[int, list[int]]], list[int]]:
+    """Levels of the all-pairs reach table, and the cover of all of them.
+
+    levels[l] maps each mask of l colors, ascending, to a row: row[v] is the
+    bitset of sources that reach v by a rainbow walk using exactly the colors
+    in mask. Masks with an empty row are left out. cover[v] ORs every row.
+    Expansion stops once every cover[v] is full or a level comes out empty.
+    Only the last level is kept unless keep_levels is set.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    by_color: list[list[Pair]] = [[] for _ in range(cbits)]
+    for e, b in zip(g.edges, bits):
+        by_color[b.bit_length() - 1].append(e)
+    level = {0: [1 << v for v in range(n)]}
+    levels = [level]
+    cover = list(level[0])
+    while level and any(c != full for c in cover):
+        grown: dict[int, list[int]] = {}
+        for mask, row in level.items():
+            for c, edges in enumerate(by_color):
+                b = 1 << c
+                if mask & b or not edges:
+                    continue
+                out = grown.get(mask | b)
+                if out is None:
+                    out = grown[mask | b] = [0] * n
+                for u, v in edges:
+                    out[v] |= row[u]
+                    out[u] |= row[v]
+        level = {mask: row for mask, row in sorted(grown.items()) if any(row)}
+        for row in level.values():
+            cover = list(map(or_, cover, row))
+        if keep_levels:
+            levels.append(level)
+        else:
+            levels = [level]
+    return levels, cover
+
+
+def _witness_paths(
+    g: Graph, cbits: int, bits: list[int], levels: list[dict[int, list[int]]]
+) -> dict[Pair, tuple[int, ...]]:
+    """One shortest rainbow path per pair (s, t), s < t, in ascending order.
+
+    The path for (s, t) starts from the least mask at the first level whose
+    row at t holds s and steps back one color at a time, taking the least
+    color and then the least neighbor along it whose row in the previous
+    level holds s. A shortest rainbow walk repeats no vertex, so each result
+    is a path. Sources that take the same steps are walked back together as
+    one bitset.
+    """
+    n = g.n
+    color_adj = [[[] for _ in range(n)] for _ in range(cbits)]
+    for (u, v), b in zip(g.edges, bits):
+        color_adj[b.bit_length() - 1][u].append(v)
+        color_adj[b.bit_length() - 1][v].append(u)
+    # found[s][t - s - 1] is the path for (s, t).
+    found: list[list] = [[None] * (n - 1 - s) for s in range(n)]
+    for t in range(1, n):
+        # Groups of sources still to walk back: (vertex, level, mask,
+        # sources, path from the vertex to t).
+        stack = []
+        left = (1 << t) - 1
+        for length, level in enumerate(levels):
+            for mask, row in level.items():
+                hit = row[t] & left
+                if hit:
+                    stack.append((t, length, mask, hit, (t,)))
+                    left ^= hit
+        while stack:
+            v, length, mask, group, path = stack.pop()
+            if length == 0:
+                found[v][t - v - 1] = path
+                continue
+            prev = levels[length - 1]
+            for c in range(cbits):
+                if not group:
+                    break
+                b = 1 << c
+                row = prev.get(mask ^ b) if mask & b else None
+                if row is None:
+                    continue
+                for w in color_adj[c][v]:
+                    hit = group & row[w]
+                    if hit:
+                        stack.append((w, length - 1, mask ^ b, hit, (w,) + path))
+                        group ^= hit
+                        if not group:
+                            break
+    return {
+        (s, t): path for s in range(n) for t, path in enumerate(found[s], s + 1)
+    }
 
 
 def least_failing_pair(
-    n: int, inc, cbits: int, bits: list[int], witnesses: dict | None = None
+    g: Graph, cbits: int, bits: list[int], witnesses: dict | None = None
 ) -> Pair | None:
     """Least pair with no rainbow path, or None when all pairs have one.
 
-    When witnesses is a dict, it receives one rainbow path per pair (s, t),
-    s < t, in ascending order; it is complete only when None is returned.
+    bits holds one color bit below 1 << cbits per edge of g.edges. When
+    witnesses is a dict and every pair is connected, it receives one
+    shortest rainbow path per pair (s, t), s < t, in ascending order.
     """
+    n = g.n
+    levels, cover = _reach_table(g, cbits, bits, witnesses is not None)
+    full = (1 << n) - 1
     for s in range(n - 1):
-        targets = set(range(s + 1, n))
-        paths = None if witnesses is None else {}
-        _rainbow_search(inc, cbits, bits, s, targets, paths)
-        if targets:
-            return (s, min(targets))
-        if paths is not None:
-            witnesses.update(((s, t), paths[t]) for t in range(s + 1, n))
+        # Walks reverse, so cover[s] is also the set of vertices s reaches.
+        missing = (full ^ cover[s]) >> (s + 1)
+        if missing:
+            return (s, s + (missing & -missing).bit_length())
+    if witnesses is not None:
+        witnesses.update(_witness_paths(g, cbits, bits, levels))
     return None
 
 
@@ -177,13 +274,13 @@ def verify_rainbow_connected(
 
     The coloring must cover E(g) exactly (ColoringMismatch otherwise). When
     the coloring is not injective and uses more than cap_colors distinct
-    colors the bitmask state space is refused with CapExceeded.
+    colors the color-mask tables are refused with CapExceeded.
     """
     compact = _color_bits(coloring.as_sequence(g), cap_colors)
     if compact is None:
         return _all_distinct_scan(g, want_witnesses)
     witnesses = {} if want_witnesses else None
-    failing = least_failing_pair(g.n, incidence(g), *compact, witnesses)
+    failing = least_failing_pair(g, *compact, witnesses)
     if failing is not None:
         return RainbowCertificate(False, failing_pair=failing)
     return RainbowCertificate(True, witnesses=witnesses)
@@ -207,9 +304,12 @@ def rainbow_path(
     if compact is None:
         parent = _bfs_parents(g, u)
         return None if parent[w] == UNREACHABLE else tuple(_unwind(parent, w, u))
-    paths: dict[int, tuple[int, ...]] = {}
-    _rainbow_search(incidence(g), *compact, u, {w}, paths)
-    return paths.get(w)
+    pred: dict[int, int] = {}
+    cbits = compact[0]
+    end = _rainbow_search(incidence(g), *compact, u, w, pred)
+    if end is None:
+        return None
+    return tuple(k >> cbits for k in _unwind(pred, end, u << cbits))
 
 
 def check_witness(

@@ -481,6 +481,23 @@ def test_lifted_partition_rescues_two_connected_graphs():
         assert verify_rainbow_connected(g, out.coloring).connected
 
 
+def test_one_bfs_per_center_in_the_two_connected_construction(monkeypatch):
+    calls = []
+    real = colorer.bfs_layers
+
+    def counting(g, center):
+        calls.append(center)
+        return real(g, center)
+
+    monkeypatch.setattr(colorer, "bfs_layers", counting)
+    g = cycle_completion(33, 25)
+    out = color_two_connected(g)
+    # Base and lifted partitions at centers 0 and 1 share each center's BFS.
+    assert out.provenance.attempts == 4
+    assert out.provenance.center == 1
+    assert calls == [0, 1]
+
+
 def test_two_connected_seeded_stress():
     colored = 0
     for seed in range(200):

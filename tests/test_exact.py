@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 import oracles
 from rainbowconn.errors import OutOfScopeGraph
 from rainbowconn.exact import exact_rc, rc_lower_bound, restricted_growth_strings
-from rainbowconn.generators import complete, complete_bipartite, cycle, star, tight_example
+from rainbowconn.generators import (
+    complete,
+    complete_bipartite,
+    cycle,
+    petersen,
+    star,
+    tight_example,
+)
 from rainbowconn.graph import build_graph
 from rainbowconn.verify import verify_rainbow_connected
 
@@ -156,3 +163,11 @@ def test_witness_verdicts_match_naive_oracle():
         ok, _ = oracles.naive_rainbow_connected(g, res.witness)
         assert ok
         assert res.exact == want
+
+
+def test_petersen_candidate_count_is_pinned():
+    # The count depends on every rejected candidate's least failing pair,
+    # since that pair is rechecked first on the next candidate.
+    res = exact_rc(petersen(), budget=10**8)
+    assert res.exact == 3
+    assert res.colorings_tested == 20_733

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -81,6 +83,50 @@ def test_diameter_fixtures():
     assert diameter(build_graph(2, [])) is None
     assert diameter(build_graph(0, [])) is None
     assert diameter(build_graph(1, [])) == 0
+
+
+def _bfs_diameter(g):
+    """Largest BFS eccentricity, or None when some BFS misses a vertex."""
+    if g.n == 0:
+        return None
+    best = 0
+    for v in range(g.n):
+        layers = bfs_layers(g, v)
+        if UNREACHABLE in layers.dist:
+            return None
+        best = max(best, layers.eccentricity)
+    return best
+
+
+def _diameter_cases():
+    yield from (build_graph(n, []) for n in (0, 1, 2))
+    yield build_graph(2, [(0, 1)])
+    for n in range(4, 12):
+        yield build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    yield from (cycle(n) for n in range(6, 14))
+    rng = random.Random("diameter-vs-bfs")
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        p = rng.choice((0.03, 0.08, 0.15, 0.3, 0.5, 0.8))
+        yield build_graph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+
+
+def test_diameter_matches_bfs_eccentricity():
+    seen = set()
+    for g in _diameter_cases():
+        d = diameter(g)
+        assert d == _bfs_diameter(g), g
+        seen.add(d)
+    assert {None, 0, 1, 2, 3, 4} <= seen
+
+
+def test_diameter_matches_bfs_eccentricity_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        assert diameter(g) == _bfs_diameter(g), sorted(h.edges())
 
 
 def test_is_connected():
@@ -205,7 +251,8 @@ def test_structural_facts_are_computed_once(monkeypatch):
     g = petersen()
     classify(g)
     before = (len(bfs_calls), len(scan_calls))
-    assert before == (g.n, 1)
+    # The bitset test settles diameter 2 without a BFS.
+    assert before == (0, 1)
     assert diameter(g) == 2
     assert bridges(g) == ()
     assert cut_vertices(g) == ()
@@ -215,6 +262,12 @@ def test_structural_facts_are_computed_once(monkeypatch):
 
     for h in (petersen(), star(4), tight_example(2, 2), wheel(6)):
         color_diam2(h)
-        # One all-sources BFS for the diameter and one lowlink scan, no more.
-        assert sum(1 for x in bfs_calls if x is h) == h.n
+        # No diameter BFS at diameter 2, and one lowlink scan, no more.
+        assert sum(1 for x in bfs_calls if x is h) == 0
         assert sum(1 for x in scan_calls if x is h) == 1
+
+    # Other graphs fall back to one all-sources BFS, run once.
+    h = cycle(7)
+    classify(h)
+    assert diameter(h) == 3
+    assert sum(1 for x in bfs_calls if x is h) == h.n

@@ -180,6 +180,55 @@ def test_seeded_sweep_matches_naive():
                 assert path is None or check_witness(g, c, u, v, path)
 
 
+def _shortest_rainbow_length(g, c, u, v):
+    """Edges on the shortest rainbow simple path from u to v, per the oracle."""
+    paths = oracles.all_pair_simple_paths(g).get((min(u, v), max(u, v)), ())
+    return min((len(p) - 1 for p in paths if oracles.is_rainbow_path(c, p)), default=None)
+
+
+def test_reach_table_matches_naive_on_small_graphs():
+    rng = random.Random("reach-table")
+    outcomes = {True: 0, False: 0}
+    for _ in range(160):
+        n = rng.randint(2, 9)
+        p = rng.choice((0.35, 0.5, 0.7))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = build_graph(n, edges)
+        if g.m < 2:
+            continue
+        k = rng.randint(2, 6)
+        c = EdgeColoring.from_sequence(g, [rng.randint(1, k) for _ in range(g.m)])
+        if c.colors_used == g.m:
+            continue
+        ok, pair = oracles.naive_rainbow_connected(g, c)
+        assert verify_rainbow_connected(g, c, want_witnesses=False) == (
+            verify.RainbowCertificate(ok, pair)
+        )
+        cert = verify_rainbow_connected(g, c)
+        assert (cert.connected, cert.failing_pair) == (ok, pair)
+        outcomes[ok] += 1
+        if not ok:
+            assert cert.witnesses is None
+            continue
+        assert list(cert.witnesses) == [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for (u, v), path in cert.witnesses.items():
+            assert check_witness(g, c, u, v, path)
+            assert len(path) - 1 == _shortest_rainbow_length(g, c, u, v)
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_sixteen_colors_verify_at_the_default_cap():
+    g = cycle(17)
+    c = EdgeColoring.from_sequence(g, list(range(1, 17)) + [1])
+    assert c.colors_used == DEFAULT_COLOR_CAP
+    cert = verify_rainbow_connected(g, c)
+    assert cert.connected
+    assert oracles.naive_rainbow_connected(g, c) == (True, None)
+    for (u, v), path in cert.witnesses.items():
+        assert check_witness(g, c, u, v, path)
+        assert len(path) - 1 == _shortest_rainbow_length(g, c, u, v)
+
+
 def test_verifier_imports_nothing_from_the_constructions():
     # The verifier is the trust anchor: it may use the data types and the
     # error taxonomy, but no algorithm it could share a bug with.

@@ -1,29 +1,36 @@
-"""Exact rainbow connection number by canonical brute force.
+"""Exact rainbow connection number by a pruned depth-first search.
 
-Colorings are enumerated as restricted growth strings over the sorted edge
-list: the first edge gets color 1 and color j+1 may appear only after color j
-has. That visits exactly one representative per color-renaming class, so level
-c checks S(m, c) candidates (Stirling number) instead of c^m. Levels run from
-a structural lower bound upward; the first verified coloring pins the answer.
+Levels run from a structural lower bound upward; the first level with a
+rainbow coloring pins the answer. A rainbow path with at most l colors has at
+most l edges, so level l first lists, for every vertex pair, its simple paths
+of at most l edges as tuples of edge indices. A depth-first search then colors
+the edges in g.edges order, each with a color at most one above the largest
+so far and at most l. That visits one coloring per renaming class; colorings
+with fewer than l colors are harmless, since the lower levels are refuted.
+Each pair is checked once the last edge of its listed paths is colored, and
+the branch is cut when none of those paths is rainbow. Colors are tried in
+ascending order, so the first coloring found is the lexicographically least
+canonical one. The search is iterative, so no edge count hits the recursion
+limit, and the verifier re-checks a found coloring before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .coloring import EdgeColoring
-from .errors import OutOfScopeGraph
+from .errors import OutOfScopeGraph, StructureViolation
 from .graph import Graph, bridges, cut_vertices, diameter, is_connected
-from .verify import incidence, least_failing_pair, pair_connected
+from .verify import verify_rainbow_connected
 
-# How often the optional progress callback fires, in candidates tested.
+# How often the optional progress callback fires, in search steps.
 PROGRESS_INTERVAL = 1 << 20
 
 DEFAULT_BUDGET = 50_000_000
 
 # Full search is refused above this edge count unless the caller raises it:
-# level sizes grow like Stirling numbers and stop being searchable.
+# the number of listed paths and search nodes grows too fast beyond it.
 DEFAULT_MAX_EDGES_FULL = 20
 
 
@@ -33,7 +40,8 @@ class RcResult:
 
     exact is None when the search stopped early; lower <= upper always, and
     witness (when present) is a verified coloring using upper colors or
-    fewer.
+    fewer. colorings_tested counts the search steps spent, listed paths plus
+    search nodes, which is what the budget bounds.
     """
 
     lower: int
@@ -46,50 +54,6 @@ class RcResult:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
-
-
-def restricted_growth_strings(length: int, classes: int) -> Iterator[tuple[int, ...]]:
-    """Yield, lexicographically, the strings of a given length with values in
-    1..classes, first value 1, each value at most one more than the running
-    maximum, and exactly `classes` distinct values used."""
-    if classes < 1 or classes > length:
-        return
-    s = [1] * length
-    tail = length - (classes - 1)
-    for j in range(classes - 1):
-        s[tail + j] = 2 + j
-    prefix_max = [0] * (length + 1)
-    for i in range(length):
-        prefix_max[i + 1] = max(prefix_max[i], s[i])
-    while True:
-        yield tuple(s)
-        i = length - 1
-        moved = False
-        while i > 0:
-            pm = prefix_max[i]
-            cap = pm + 1 if pm + 1 < classes else classes
-            rest = length - 1 - i
-            need_max = classes - rest
-            v = s[i] + 1
-            if pm < need_max and v < need_max:
-                v = need_max
-            if v <= cap:
-                s[i] = v
-                new_max = pm if pm >= v else v
-                need = classes - new_max
-                for j in range(i + 1, length - need):
-                    s[j] = 1
-                for j in range(need):
-                    s[length - need + j] = new_max + 1 + j
-                for j in range(i, length):
-                    pmj = prefix_max[j]
-                    sj = s[j]
-                    prefix_max[j + 1] = pmj if pmj >= sj else sj
-                moved = True
-                break
-            i -= 1
-        if not moved:
-            return
 
 
 def rc_lower_bound(g: Graph) -> int:
@@ -113,35 +77,81 @@ def rc_lower_bound(g: Graph) -> int:
     return d
 
 
-def _search_level(
-    g: Graph,
-    classes: int,
-    budget: int,
-    tested_before: int,
-    progress: Callable[[int], None] | None,
-) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Scan one level; returns (winning colors, tested count, budget hit).
+class _Steps:
+    """Listed paths plus search nodes, counted against the budget."""
 
-    Rejection is cheap for most candidates: the most recently failing pair is
-    rechecked first and usually still fails, skipping the all-pairs scan.
+    def __init__(self, budget: int, progress: Callable[[int], None] | None):
+        self.count = 0
+        self.budget = budget
+        self.progress = progress
+
+    def take(self) -> bool:
+        """Count one step, or return False when the budget is spent."""
+        if self.count >= self.budget:
+            return False
+        self.count += 1
+        if self.progress is not None and self.count % PROGRESS_INTERVAL == 0:
+            self.progress(self.count)
+        return True
+
+
+def _checks_by_depth(g: Graph, level: int, steps: _Steps) -> list[list[list]] | None:
+    """For each edge index d, the path lists of the pairs checked at depth d.
+
+    A pair's list holds its simple paths of at most level edges, as tuples of
+    edge indices, and the pair is checked at the largest index among them. A
+    pair without such a path gets an empty list at depth 0, which refutes the
+    level there. None when the budget runs out while listing.
     """
-    inc = incidence(g)
-    tested = 0
-    cached: tuple[int, int] | None = None
-    for colors in restricted_growth_strings(g.m, classes):
-        if tested >= budget:
-            return None, tested, True
-        tested += 1
-        if progress is not None and (tested_before + tested) % PROGRESS_INTERVAL == 0:
-            progress(tested_before + tested)
-        bits = [1 << (c - 1) for c in colors]
-        if cached is not None and not pair_connected(inc, classes, bits, *cached):
+    edge_id = {e: i for i, e in enumerate(g.edges)}
+    checks: list[list[list]] = [[] for _ in range(g.m)]
+    for s in range(g.n):
+        paths: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(s + 1, g.n)}
+        stack = [(s, (), 1 << s)]
+        while stack:
+            v, path, seen = stack.pop()
+            for w in g.adj[v]:
+                if seen >> w & 1:
+                    continue
+                p = path + (edge_id[(v, w) if v < w else (w, v)],)
+                if w > s:
+                    if not steps.take():
+                        return None
+                    paths[w].append(p)
+                if len(p) < level:
+                    stack.append((w, p, seen | 1 << w))
+        for listed in paths.values():
+            checks[max(map(max, listed), default=0)].append(listed)
+    return checks
+
+
+def _search_level(g: Graph, level: int, steps: _Steps) -> tuple[list[int] | None, bool]:
+    """Search one level; returns (winning colors or None, budget hit)."""
+    checks = _checks_by_depth(g, level, steps)
+    if checks is None:
+        return None, True
+    colors = [0] * g.m
+    # top[d] is the largest color among edges 0..d-1.
+    top = [0] * (g.m + 1)
+    d = 0
+    while d >= 0:
+        c = colors[d] + 1
+        if c > top[d] + 1 or c > level:
+            colors[d] = 0
+            d -= 1
             continue
-        failing = least_failing_pair(g, classes, bits)
-        if failing is None:
-            return colors, tested, False
-        cached = failing
-    return None, tested, False
+        if not steps.take():
+            return None, True
+        colors[d] = c
+        if all(
+            any(len({colors[e] for e in p}) == len(p) for p in listed)
+            for listed in checks[d]
+        ):
+            top[d + 1] = max(top[d], c)
+            d += 1
+            if d == g.m:
+                return colors, False
+    return None, False
 
 
 def _upper_bound_coloring(g: Graph) -> tuple[int, EdgeColoring]:
@@ -164,36 +174,32 @@ def exact_rc(
 ) -> RcResult:
     """Exact rainbow connection number, or bounds when the search is cut off.
 
-    The search is cut off by the candidate budget, by max_colors, or up front
+    The search is cut off by the step budget, by max_colors, or up front
     when the graph has more than max_edges_full edges. In every cutoff case
     the returned lower bound counts the levels proven impossible and the
-    upper bound comes from a verified coloring.
+    upper bound comes from a verified coloring. progress, when given,
+    receives the step count every PROGRESS_INTERVAL steps.
     """
     if not is_connected(g):
         raise OutOfScopeGraph("exact search needs a connected graph")
     if g.n <= 1:
         return RcResult(0, 0, 0, 0, False, EdgeColoring.from_map({}))
-    lower = rc_lower_bound(g)
-    if g.m > max_edges_full:
-        upper, witness = _upper_bound_coloring(g)
-        return RcResult(lower, upper, None, 0, False, witness)
-    tested_total = 0
-    level = max(lower, 1)
-    while True:
-        if max_colors is not None and level > max_colors:
-            upper, witness = _upper_bound_coloring(g)
-            return RcResult(level, max(upper, level), None, tested_total, False, witness)
-        colors, tested, exhausted = _search_level(
-            g, level, budget - tested_total, tested_total, progress
-        )
-        tested_total += tested
+    steps = _Steps(budget, progress)
+    level = rc_lower_bound(g)
+    exhausted = False
+    while g.m <= max_edges_full and (max_colors is None or level <= max_colors):
+        colors, exhausted = _search_level(g, level, steps)
         if colors is not None:
             witness = EdgeColoring.from_sequence(g, colors)
-            return RcResult(level, level, level, tested_total, False, witness)
+            cert = verify_rainbow_connected(g, witness, cap_colors=level, want_witnesses=False)
+            if not cert.connected:
+                raise StructureViolation(f"search coloring fails at {cert.failing_pair}")
+            return RcResult(level, level, level, steps.count, False, witness)
         if exhausted:
-            upper, witness = _upper_bound_coloring(g)
-            return RcResult(level, max(upper, level), None, tested_total, True, witness)
-        # Level m has the single all-distinct candidate, which any connected
-        # graph passes, so the loop terminates.
+            break
+        # Level m allows the all-distinct coloring, which any connected
+        # graph passes, so the loop ends by then.
         assert level < g.m, "level search ran past the edge count"
         level += 1
+    upper, witness = _upper_bound_coloring(g)
+    return RcResult(level, max(upper, level), None, steps.count, exhausted, witness)

@@ -7,10 +7,9 @@ colors to a row whose entry at v is the set of sources reaching v by a walk
 that uses exactly those colors, one edge each. Level l + 1 comes from level l
 by OR-ing rows along the edges of each unused color. A rainbow walk shortens
 to a rainbow path, so a pair is connected exactly when some row holds it, and
-witnesses walk back through the levels. With k distinct colors the table has
-at most 2^k rows. Single-pair queries run a breadth-first search from the
-source over (vertex, used-color-bitmask) states instead, which stops at the
-target. When every edge has its own color, any shortest path is rainbow, so
+witnesses walk back through the levels; a single-pair query builds the same
+table and walks back one target. With k distinct colors the table has at most
+2^k rows. When every edge has its own color, any shortest path is rainbow, so
 a plain breadth-first search decides instead and no color cap applies. The
 checker never trusts the construction code: everything is recomputed from
 the graph and the coloring alone.
@@ -25,8 +24,8 @@ from .coloring import EdgeColoring
 from .errors import CapExceeded, IndexOutOfRange
 from .graph import Graph, UNREACHABLE
 
-# Bitmask cap on distinct colors: the reach table and the state search hold
-# at most 2^16 color masks per vertex in the worst case the API accepts.
+# Bitmask cap on distinct colors: the reach table holds at most 2^16 color
+# masks in the worst case the API accepts.
 DEFAULT_COLOR_CAP = 16
 
 Pair = tuple[int, int]
@@ -48,15 +47,6 @@ class RainbowCertificate:
     witnesses: dict[Pair, tuple[int, ...]] | None = None
 
 
-def incidence(g: Graph) -> list[list[tuple[int, int]]]:
-    """Per-vertex list of (neighbor, edge index), ascending by neighbor."""
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(g.edges):
-        inc[u].append((v, idx))
-        inc[v].append((u, idx))
-    return inc
-
-
 def _unwind(pred, end: int, start: int) -> list:
     """The chain from start to end, following pred backwards from end."""
     chain = [end]
@@ -64,36 +54,6 @@ def _unwind(pred, end: int, start: int) -> list:
         chain.append(pred[chain[-1]])
     chain.reverse()
     return chain
-
-
-def _rainbow_search(
-    inc, cbits: int, bits: list[int], s: int, t: int, pred: dict | None = None
-) -> int | None:
-    """Breadth-first search from s over states (v << cbits) | used-color mask.
-
-    Returns the first state at t, or None when no rainbow path reaches t.
-    When pred is a dict, it receives the predecessor of every state reached.
-    """
-    mask_all = (1 << cbits) - 1
-    start = s << cbits
-    seen = {start}
-    queue = [start]
-    for key in queue:
-        mask = key & mask_all
-        for w, e in inc[key >> cbits]:
-            b = bits[e]
-            if mask & b:
-                continue
-            nk = (w << cbits) | mask | b
-            if nk in seen:
-                continue
-            seen.add(nk)
-            queue.append(nk)
-            if pred is not None:
-                pred[nk] = key
-            if w == t:
-                return nk
-    return None
 
 
 def _bfs_parents(g: Graph, s: int) -> list[int]:
@@ -107,11 +67,6 @@ def _bfs_parents(g: Graph, s: int) -> list[int]:
                 parent[w] = u
                 queue.append(w)
     return parent
-
-
-def pair_connected(inc, cbits: int, bits: list[int], s: int, t: int) -> bool:
-    """Is there a rainbow path from s to t? Verdict only, early exit."""
-    return s == t or _rainbow_search(inc, cbits, bits, s, t) is not None
 
 
 def _reach_table(
@@ -156,59 +111,67 @@ def _reach_table(
     return levels, cover
 
 
-def _witness_paths(
-    g: Graph, cbits: int, bits: list[int], levels: list[dict[int, list[int]]]
-) -> dict[Pair, tuple[int, ...]]:
-    """One shortest rainbow path per pair (s, t), s < t, in ascending order.
-
-    The path for (s, t) starts from the least mask at the first level whose
-    row at t holds s and steps back one color at a time, taking the least
-    color and then the least neighbor along it whose row in the previous
-    level holds s. A shortest rainbow walk repeats no vertex, so each result
-    is a path. Sources that take the same steps are walked back together as
-    one bitset.
-    """
-    n = g.n
-    color_adj = [[[] for _ in range(n)] for _ in range(cbits)]
+def _color_adj(g: Graph, cbits: int, bits: list[int]) -> list[list[list[int]]]:
+    """color_adj[c][v] lists the neighbors of v along edges of color bit c."""
+    color_adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(cbits)]
     for (u, v), b in zip(g.edges, bits):
         color_adj[b.bit_length() - 1][u].append(v)
         color_adj[b.bit_length() - 1][v].append(u)
-    # found[s][t - s - 1] is the path for (s, t).
-    found: list[list] = [[None] * (n - 1 - s) for s in range(n)]
-    for t in range(1, n):
-        # Groups of sources still to walk back: (vertex, level, mask,
-        # sources, path from the vertex to t).
-        stack = []
-        left = (1 << t) - 1
-        for length, level in enumerate(levels):
-            for mask, row in level.items():
-                hit = row[t] & left
-                if hit:
-                    stack.append((t, length, mask, hit, (t,)))
-                    left ^= hit
-        while stack:
-            v, length, mask, group, path = stack.pop()
-            if length == 0:
-                found[v][t - v - 1] = path
+    return color_adj
+
+
+def _walk_back(
+    levels: list[dict[int, list[int]]], color_adj, t: int, sources: int
+) -> dict[int, tuple[int, ...]]:
+    """One shortest rainbow path to t from each source in the bitset sources.
+
+    A path starts from the least mask at the first level whose row at t holds
+    its source and steps back one color at a time, taking the least color and
+    then the least neighbor along it whose row in the previous level holds the
+    source. A shortest rainbow walk repeats no vertex, so each result is a
+    path. Sources that take the same steps walk back together as one bitset;
+    sources that no row holds are left out.
+    """
+    found = {}
+    # Groups of sources still to walk back: (vertex, level, mask, sources,
+    # path from the vertex to t).
+    stack = []
+    for length, level in enumerate(levels):
+        for mask, row in level.items():
+            hit = row[t] & sources
+            if hit:
+                stack.append((t, length, mask, hit, (t,)))
+                sources ^= hit
+    while stack:
+        v, length, mask, group, path = stack.pop()
+        if length == 0:
+            found[v] = path
+            continue
+        prev = levels[length - 1]
+        for c, adj in enumerate(color_adj):
+            if not group:
+                break
+            b = 1 << c
+            row = prev.get(mask ^ b) if mask & b else None
+            if row is None:
                 continue
-            prev = levels[length - 1]
-            for c in range(cbits):
-                if not group:
-                    break
-                b = 1 << c
-                row = prev.get(mask ^ b) if mask & b else None
-                if row is None:
-                    continue
-                for w in color_adj[c][v]:
-                    hit = group & row[w]
-                    if hit:
-                        stack.append((w, length - 1, mask ^ b, hit, (w,) + path))
-                        group ^= hit
-                        if not group:
-                            break
-    return {
-        (s, t): path for s in range(n) for t, path in enumerate(found[s], s + 1)
-    }
+            for w in adj[v]:
+                hit = group & row[w]
+                if hit:
+                    stack.append((w, length - 1, mask ^ b, hit, (w,) + path))
+                    group ^= hit
+                    if not group:
+                        break
+    return found
+
+
+def _witness_paths(
+    g: Graph, cbits: int, bits: list[int], levels: list[dict[int, list[int]]]
+) -> dict[Pair, tuple[int, ...]]:
+    """One shortest rainbow path per pair (s, t), s < t, in ascending order."""
+    color_adj = _color_adj(g, cbits, bits)
+    to = [_walk_back(levels, color_adj, t, (1 << t) - 1) for t in range(g.n)]
+    return {(s, t): to[t][s] for s in range(g.n) for t in range(s + 1, g.n)}
 
 
 def least_failing_pair(
@@ -304,12 +267,8 @@ def rainbow_path(
     if compact is None:
         parent = _bfs_parents(g, u)
         return None if parent[w] == UNREACHABLE else tuple(_unwind(parent, w, u))
-    pred: dict[int, int] = {}
-    cbits = compact[0]
-    end = _rainbow_search(incidence(g), *compact, u, w, pred)
-    if end is None:
-        return None
-    return tuple(k >> cbits for k in _unwind(pred, end, u << cbits))
+    levels, _ = _reach_table(g, *compact, True)
+    return _walk_back(levels, _color_adj(g, *compact), w, 1 << u).get(u)
 
 
 def check_witness(

@@ -119,13 +119,26 @@ def brute_srg_parameters(g: Graph):
     return (n, degrees.pop(), lams.pop(), mus.pop())
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    if k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+def canonical_strings(length: int, classes: int, prefix: tuple[int, ...] = ()):
+    """Lexicographically, every string of the given length whose values stay
+    within 1..classes and at most one above the running maximum."""
+    if len(prefix) == length:
+        yield prefix
+        return
+    for c in range(1, min(max(prefix, default=0) + 1, classes) + 1):
+        yield from canonical_strings(length, classes, prefix + (c,))
+
+
+def oracle_rc(g: Graph):
+    """(rc, first rainbow connecting canonical string) by plain enumeration:
+    level l tries every canonical string with at most l colors, in order."""
+    if g.n <= 1:
+        return 0, ()
+    for level in range(1, g.m + 1):
+        for colors in canonical_strings(g.m, level):
+            if naive_rainbow_connected(g, EdgeColoring.from_sequence(g, colors))[0]:
+                return level, colors
+    raise AssertionError("a connected graph is rainbow connected with m colors")
 
 
 def prufer_tree(seq: tuple[int, ...]):

@@ -233,7 +233,7 @@ def test_criterion_5_strongly_regular_guarantee(tmp_path, capsys, gate):
         5,
         ok,
         f"srg {seen['petersen']} and {seen['c5']}, rc(petersen) = {res.exact} "
-        f"after {res.colorings_tested} candidates",
+        f"after {res.colorings_tested} search steps",
     )
     assert seen == srg_expect
     assert res.is_exact

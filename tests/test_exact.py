@@ -1,11 +1,13 @@
+import random
+
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
+from rainbowconn import exact
 from rainbowconn.errors import OutOfScopeGraph
-from rainbowconn.exact import exact_rc, rc_lower_bound, restricted_growth_strings
+from rainbowconn.exact import exact_rc, rc_lower_bound
 from rainbowconn.generators import (
+    GenSpec,
     complete,
     complete_bipartite,
     cycle,
@@ -15,40 +17,6 @@ from rainbowconn.generators import (
 )
 from rainbowconn.graph import build_graph
 from rainbowconn.verify import verify_rainbow_connected
-
-
-def test_rgs_small_listings():
-    assert list(restricted_growth_strings(3, 2)) == [
-        (1, 1, 2),
-        (1, 2, 1),
-        (1, 2, 2),
-    ]
-    assert list(restricted_growth_strings(4, 1)) == [(1, 1, 1, 1)]
-    assert list(restricted_growth_strings(2, 2)) == [(1, 2)]
-    assert list(restricted_growth_strings(1, 2)) == []
-    assert list(restricted_growth_strings(3, 0)) == []
-
-
-@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=5))
-def test_rgs_counts_are_stirling_numbers(length, classes):
-    got = sum(1 for _ in restricted_growth_strings(length, classes))
-    assert got == oracles.stirling2(length, classes)
-
-
-@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4))
-def test_rgs_strings_are_canonical_and_sorted(length, classes):
-    seen = []
-    for s in restricted_growth_strings(length, classes):
-        assert s[0] == 1
-        assert len(set(s)) == classes
-        assert max(s) == classes
-        running = 0
-        for v in s:
-            assert 1 <= v <= running + 1
-            running = max(running, v)
-        seen.append(s)
-    assert seen == sorted(seen)
-    assert len(seen) == len(set(seen))
 
 
 def test_lower_bound_cases():
@@ -92,7 +60,9 @@ def test_exact_rc_level_never_below_witness_bound():
     g = star(5)
     res = exact_rc(g)
     assert res.exact == 5
-    assert res.colorings_tested == 1
+    # 15 listed paths, one per pair, then 1 + 2 + 3 + 4 + 5 search nodes:
+    # edge i is cut at every color below i + 1.
+    assert res.colorings_tested == 30
 
 
 def test_budget_exhaustion_returns_bounds():
@@ -166,8 +136,71 @@ def test_witness_verdicts_match_naive_oracle():
 
 
 def test_petersen_candidate_count_is_pinned():
-    # The count depends on every rejected candidate's least failing pair,
-    # since that pair is rechecked first on the next candidate.
+    # Listed paths (45 at level 2, 105 at level 3) plus search nodes; the
+    # node count depends on the edge order and on where each pair is checked.
     res = exact_rc(petersen(), budget=10**8)
     assert res.exact == 3
-    assert res.colorings_tested == 20_733
+    assert res.colorings_tested == 291
+
+
+def _same_as_oracle(g):
+    res = exact_rc(g, budget=10**7)
+    want, colors = oracles.oracle_rc(g)
+    assert res.exact == want, sorted(g.edges)
+    assert res.witness.as_sequence(g) == colors, sorted(g.edges)
+
+
+def test_exact_rc_matches_enumeration_oracle_on_atlas():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 0 or h.number_of_edges() > 8 or not nx.is_connected(h):
+            continue
+        _same_as_oracle(build_graph(h.number_of_nodes(), h.edges()))
+        checked += 1
+    assert checked == 200
+
+
+def test_exact_rc_matches_enumeration_oracle_on_random_graphs():
+    rng = random.Random("exact-oracle")
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        # A random spanning tree keeps the graph connected.
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        edges += extra[: 8 - len(edges)]
+        _same_as_oracle(build_graph(n, edges))
+
+
+def test_exact_9_1_resolves():
+    spec = GenSpec("random-diam2", {"n": 9, "p": 0.5, "seed": "exact/9/1", "bridgeless": True})
+    res = exact_rc(spec.build().graph, budget=100_000, max_edges_full=25)
+    assert res.exact == 2
+    assert not res.budget_exhausted
+
+
+def test_deep_graph_stops_at_the_budget():
+    # K_46 less one edge has diameter 2 and 1,034 edges; its path listing
+    # alone would run far past the budget.
+    g = build_graph(46, [(u, v) for u in range(46) for v in range(u + 1, 46)][1:])
+    res = exact_rc(g, budget=500, max_edges_full=g.m)
+    assert not res.is_exact
+    assert res.budget_exhausted
+    assert res.colorings_tested == 500
+    assert res.lower == 2
+    assert verify_rainbow_connected(g, res.witness, want_witnesses=False).connected
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # Level 1 on K_46: 1,035 listed paths, then one node per edge.
+    g = complete(46)
+    res = exact_rc(g, budget=2 * g.m, max_edges_full=g.m)
+    assert res.exact == 1
+    assert res.colorings_tested == 2 * g.m
+
+
+def test_progress_reports_every_step_in_order(monkeypatch):
+    monkeypatch.setattr(exact, "PROGRESS_INTERVAL", 1)
+    seen = []
+    res = exact_rc(cycle(5), progress=seen.append)
+    assert seen == list(range(1, res.colorings_tested + 1))

@@ -103,7 +103,7 @@ def _witness_list(witnesses: dict) -> list[dict]:
     ]
 
 
-def _coloring_rows(g: Graph, coloring: EdgeColoring) -> list[list[int]]:
+def _coloring_rows(coloring: EdgeColoring) -> list[list[int]]:
     return [[u, v, c] for (u, v), c in coloring.items()]
 
 
@@ -170,7 +170,7 @@ def cmd_color(args) -> int:
             "attempts": prov.attempts,
             "repair_used": prov.repair_used,
         },
-        "coloring": _coloring_rows(g, result.coloring),
+        "coloring": _coloring_rows(result.coloring),
     }
     if args.witnesses:
         cert = verify_rainbow_connected(g, result.coloring, want_witnesses=True)
@@ -232,7 +232,7 @@ def cmd_exact(args) -> int:
         "budget_exhausted": result.budget_exhausted,
     }
     if result.witness is not None:
-        outcome["witness"] = _coloring_rows(g, result.witness)
+        outcome["witness"] = _coloring_rows(result.witness)
     rep = make_report(
         "exact",
         _input_block(args.graph, g),
@@ -299,6 +299,22 @@ def _instance_params(base: dict, index: int) -> dict:
     return out
 
 
+def _fuzz_instances(args, base_params: dict, tallies: dict):
+    """Yield (index, spec, graph) per instance; random-diam2 instances take a
+    child seed, and failed generations are tallied and skipped."""
+    for i in range(args.count):
+        params = _instance_params(base_params, i)
+        if args.family == "random-diam2":
+            params["seed"] = child_seed(params.get("seed", args.seed), i)
+        spec = GenSpec(args.family, params)
+        try:
+            g = spec.build().graph
+        except GenerationFailed:
+            tallies["generation_failed"] += 1
+            continue
+        yield i, spec, g
+
+
 def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
     histogram: dict[str, int] = {}
     tallies = {
@@ -311,16 +327,7 @@ def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
         "repairs_used": 0,
     }
     failures: list[dict] = []
-    for i in range(args.count):
-        params = _instance_params(base_params, i)
-        if args.family == "random-diam2":
-            params["seed"] = child_seed(params.get("seed", args.seed), i)
-        spec = GenSpec(args.family, params)
-        try:
-            g = spec.build().graph
-        except GenerationFailed:
-            tallies["generation_failed"] += 1
-            continue
+    for i, spec, g in _fuzz_instances(args, base_params, tallies):
         tallies["generated"] += 1
         try:
             result = color_diam2(g)
@@ -396,17 +403,10 @@ def _fuzz_hunt(args, base_params: dict) -> tuple[dict, int]:
         "findings": 0,
     }
     max_rc: int | None = None
-    for i in range(args.count):
-        params = _instance_params(base_params, i)
-        if args.family == "random-diam2":
-            params["seed"] = child_seed(params.get("seed", args.seed), i)
-            params.setdefault("bridgeless", True)
-        spec = GenSpec(args.family, params)
-        try:
-            g = spec.build().graph
-        except GenerationFailed:
-            tallies["generation_failed"] += 1
-            continue
+    # Hunting samples bridgeless random graphs unless told otherwise.
+    if args.family == "random-diam2":
+        base_params = {"bridgeless": True, **base_params}
+    for i, spec, g in _fuzz_instances(args, base_params, tallies):
         if diameter(g) != 2 or bridges(g):
             tallies["skipped"] += 1
             continue

@@ -8,9 +8,12 @@ each class has a construction with a color budget:
   bridgeless cut vertex    3 colors
   two-connected            5 colors
 
-The constructions color edges by role around a center vertex. They are backed
-by an independent verifier: when a two-connected coloring fails verification,
-the lifted partition of the same center is tried, then the next center, and
+The constructions color edges by role around a center vertex. For a
+two-connected graph, build_partition is the one partition builder: the outer
+ring (vertices at distance two) picks its style, linked-outer when that ring
+spans an edge and contact when it is independent. Every coloring is checked by
+an independent verifier: when a two-connected coloring fails, the lifted
+partition of the same center is tried, then the next center, and
 ConstructionFailure is raised if none verifies. Both cut-vertex classes share
 one construction.
 """
@@ -18,7 +21,7 @@ one construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from .coloring import EdgeColoring
 from .errors import (
@@ -193,12 +196,9 @@ class ColoringOutcome:
 
 
 def _finish_outcome(
-    g: Graph,
-    coloring: EdgeColoring,
-    guarantee: int,
-    cls: Diam2Classification,
-    prov: Provenance,
+    g: Graph, coloring: EdgeColoring, cls: Diam2Classification, prov: Provenance
 ) -> ColoringOutcome:
+    guarantee = guarantee_for(cls)
     cert = verify_rainbow_connected(g, coloring, want_witnesses=False)
     if not cert.connected:
         raise ConstructionFailure(
@@ -249,7 +249,7 @@ def _color_cut_vertex(
                 mapping[e] = 1
     coloring = EdgeColoring.from_map(mapping)
     prov = Provenance("bridged" if k else "cut-vertex", v, None, "base", 1, False)
-    return _finish_outcome(g, coloring, b + 2, cls, prov)
+    return _finish_outcome(g, coloring, cls, prov)
 
 
 def color_bridged(g: Graph, cls: BridgedCutVertex) -> ColoringOutcome:
@@ -278,7 +278,7 @@ def color_cutvertex_bridgeless(g: Graph, cls: BridgelessCutVertex) -> ColoringOu
 # Two-connected partitions
 
 # Vertex roles around a center, used to pick edge colors by role pair.
-_C, _IL, _IR, _CL, _CR, _OB, _OLO, _ORO = range(8)
+_C, _IL, _IR, _CL, _CR, _OB, _OLO = range(7)
 
 _ROLE_NAMES = {
     _C: "center",
@@ -288,7 +288,6 @@ _ROLE_NAMES = {
     _CR: "core-right",
     _OB: "outer-both",
     _OLO: "outer-left-only",
-    _ORO: "outer-right-only",
 }
 
 
@@ -299,8 +298,9 @@ class NeighborhoodPartition:
     The inner ring (neighbors of the center) splits into left and right
     sides. Outer-ring vertices that have outer-ring neighbors form the core,
     2-colored by a spanning forest; the remaining outer vertices are grouped
-    by which inner sides they touch. After normalization the right-only group
-    is empty, and each left-only vertex carries one designated accent edge.
+    by which inner sides they touch. The sides are mirrored when needed so
+    that every one-sided outer vertex touches only the left side, and each
+    such vertex carries one designated accent edge.
     """
 
     style: str
@@ -311,40 +311,29 @@ class NeighborhoodPartition:
     core_right: frozenset[int]
     outer_both: frozenset[int]
     outer_left_only: frozenset[int]
-    outer_right_only: frozenset[int]
     accent_edge_of: tuple[tuple[int, Edge], ...]
 
-    @property
-    def core(self) -> frozenset[int]:
-        return self.core_left | self.core_right
 
-    def accent_map(self) -> dict[int, Edge]:
-        return dict(self.accent_edge_of)
-
-
-@dataclass(frozen=True)
-class LinkGraph:
-    """Contact graph on the inner ring, with the index-to-vertex table."""
-
-    graph: Graph
-    vertices: tuple[int, ...]
-
-
-def _require_two_connected(g: Graph) -> None:
-    if not is_two_connected(g):
-        raise WrongCase("this construction needs a 2-connected graph")
-
-
-def _outer_split(
-    g: Graph, outer: frozenset[int], left: set[int], right: set[int]
-) -> tuple[set[int], set[int], set[int]]:
+def _finish_partition(
+    g: Graph,
+    style: str,
+    center: int,
+    inner_left: set[int],
+    inner_right: set[int],
+    core_left: set[int],
+    core_right: set[int],
+    outer_rest: Iterable[int],
+) -> NeighborhoodPartition:
+    """Group the non-core outer vertices, given in ascending order, by the
+    inner sides they touch, mirror the sides so the one-sided group sits on
+    the left, and pick each one-sided vertex's accent edge."""
     both: set[int] = set()
     left_only: set[int] = set()
     right_only: set[int] = set()
-    for u in sorted(outer):
+    for u in outer_rest:
         nb = g.adj_sets[u]
-        has_left = bool(nb & left)
-        has_right = bool(nb & right)
+        has_left = bool(nb & inner_left)
+        has_right = bool(nb & inner_right)
         if has_left and has_right:
             both.add(u)
         elif has_left:
@@ -358,25 +347,10 @@ def _outer_split(
         raise StructureViolation(
             "one-sided outer vertices on both sides in a diameter-2 graph"
         )
-    return both, left_only, right_only
-
-
-def _finish_partition(
-    g: Graph,
-    style: str,
-    center: int,
-    inner_left: set[int],
-    inner_right: set[int],
-    core_left: set[int],
-    core_right: set[int],
-    outer_rest: frozenset[int],
-) -> NeighborhoodPartition:
-    both, left_only, right_only = _outer_split(g, outer_rest, inner_left, inner_right)
-    if not left_only and right_only:
-        # Mirror the sides so the one-sided group always sits on the left.
+    if right_only:
         inner_left, inner_right = inner_right, inner_left
         core_left, core_right = core_right, core_left
-        left_only, right_only = right_only, left_only
+        left_only = right_only
     accents: list[tuple[int, Edge]] = []
     for u in sorted(left_only):
         nb = g.adj_sets[u]
@@ -398,15 +372,14 @@ def _finish_partition(
         frozenset(core_right),
         frozenset(both),
         frozenset(left_only),
-        frozenset(right_only),
         tuple(accents),
     )
 
 
-def partition_linked_outer(
-    g: Graph, center: int, *, lift: bool = False
+def _partition_linked_outer(
+    g: Graph, layers: BfsLayers, core: set[int], lift: bool
 ) -> NeighborhoodPartition:
-    """Partition for centers whose outer ring spans at least one edge.
+    """Linked-outer style, for a center whose outer ring spans an edge.
 
     The core (outer vertices with outer neighbors) is 2-colored by a spanning
     forest. Inner vertices adjacent to the core's left side go left, the rest
@@ -415,28 +388,12 @@ def partition_linked_outer(
     With lift set, a core-right vertex with no inner-right neighbor first
     moves right its least inner-left neighbor that no core-left vertex needs.
     """
-    _require_two_connected(g)
-    return _partition_linked_outer(g, bfs_layers(g, center), lift)
-
-
-def _partition_linked_outer(
-    g: Graph, layers: BfsLayers, lift: bool
-) -> NeighborhoodPartition:
-    if layers.eccentricity != 2:
-        raise WrongCase(
-            f"center {layers.center} has eccentricity {layers.eccentricity}, not 2"
-        )
-    ring1 = layers.layer(1)
-    ring2 = frozenset(layers.layer(2))
-    core = {u for u in ring2 if g.adj_sets[u] & ring2}
-    if not core:
-        raise WrongCase("outer ring is independent; use the contact construction")
     fb = spanning_forest_bipartition(g, core, require_no_isolated=True)
     core_left, core_right = set(fb.left), set(fb.right)
     inner_left: set[int] = set()
     inner_right: set[int] = set()
     leftovers: list[int] = []
-    for u in ring1:
+    for u in layers.layer(1):
         nb = g.adj_sets[u]
         if nb & core_left:
             inner_left.add(u)
@@ -469,83 +426,58 @@ def _partition_linked_outer(
             raise StructureViolation(f"inner vertex {u} sees neither seeded side")
     return _finish_partition(
         g, "linked-outer", layers.center, inner_left, inner_right, core_left,
-        core_right, ring2 - core,
+        core_right, [u for u in layers.layer(2) if u not in core],
     )
-
-
-def build_link_graph(g: Graph, center: int) -> LinkGraph:
-    """Contact graph on the inner ring when the outer ring is independent.
-
-    Two inner vertices are linked when they are adjacent or share an outer
-    neighbor, that is, when the punctured graph joins them by a path of
-    length at most 2 with its interior outside the inner ring. The result is
-    connected for every center of a 2-connected diameter-2 graph.
-    """
-    _require_two_connected(g)
-    return _build_link_graph(g, bfs_layers(g, center))
-
-
-def _build_link_graph(g: Graph, layers: BfsLayers) -> LinkGraph:
-    if layers.eccentricity > 2:
-        raise WrongCase(f"center {layers.center} has eccentricity {layers.eccentricity}")
-    ring1 = layers.layer(1)
-    ring2 = frozenset(layers.layer(2))
-    for u in ring2:
-        if g.adj_sets[u] & ring2:
-            raise WrongCase("outer ring spans an edge; use the linked-outer construction")
-    index = {v: i for i, v in enumerate(ring1)}
-    link_edges: set[Edge] = set()
-    for a, b in g.edges:
-        if a in index and b in index:
-            link_edges.add(normalize_edge(index[a], index[b]))
-    for u in sorted(ring2):
-        nbrs = sorted(g.adj_sets[u])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                link_edges.add(normalize_edge(index[a], index[b]))
-    h = build_graph(len(ring1), link_edges)
-    if not is_connected(h):
-        raise StructureViolation("contact graph on the inner ring is disconnected")
-    return LinkGraph(h, ring1)
-
-
-def partition_contact(g: Graph, center: int) -> NeighborhoodPartition:
-    """Partition for centers whose outer ring is an independent set.
-
-    A spanning tree of the contact graph 2-colors the inner ring; the outer
-    ring is then grouped by which inner sides it touches.
-    """
-    _require_two_connected(g)
-    return _partition_contact(g, bfs_layers(g, center))
 
 
 def _partition_contact(g: Graph, layers: BfsLayers) -> NeighborhoodPartition:
-    link = _build_link_graph(g, layers)
+    """Contact style, for a center whose outer ring is an independent set.
+
+    Two inner vertices are linked when they are adjacent or share an outer
+    neighbor. This contact graph is connected for every center of a
+    2-connected diameter-2 graph, and a spanning tree of it 2-colors the
+    inner ring.
+    """
+    ring1 = layers.layer(1)
+    index = {v: i for i, v in enumerate(ring1)}
+    link_edges = [(index[a], index[b]) for a, b in g.edges if a in index and b in index]
+    for u in layers.layer(2):
+        nbrs = sorted(g.adj_sets[u])
+        for i, a in enumerate(nbrs):
+            link_edges.extend((index[a], index[b]) for b in nbrs[i + 1 :])
+    link = build_graph(len(ring1), link_edges)
+    if not is_connected(link):
+        raise StructureViolation("contact graph on the inner ring is disconnected")
     fb = spanning_forest_bipartition(
-        link.graph,
-        range(link.graph.n),
-        require_no_isolated=link.graph.n > 1,
+        link, range(link.n), require_no_isolated=link.n > 1
     )
-    inner_left = {link.vertices[i] for i in fb.left}
-    inner_right = {link.vertices[i] for i in fb.right}
     return _finish_partition(
-        g, "contact", layers.center, inner_left, inner_right, set(), set(),
-        frozenset(layers.layer(2)),
+        g, "contact", layers.center, {ring1[i] for i in fb.left},
+        {ring1[i] for i in fb.right}, set(), set(), layers.layer(2),
     )
 
 
 def build_partition(
     g: Graph, center: int, *, lift: bool = False
 ) -> NeighborhoodPartition:
-    """Choose the partition style by probing the outer ring; only linked-outer lifts."""
-    _require_two_connected(g)
+    """The role partition of a 2-connected graph around one center.
+
+    The outer ring chooses the style: linked-outer when it spans an edge,
+    contact when it is independent. Only linked-outer partitions lift; a
+    center of eccentricity above 2 raises WrongCase.
+    """
+    if not is_two_connected(g):
+        raise WrongCase("partitions need a 2-connected graph")
     return _build_partition(g, bfs_layers(g, center), lift)
 
 
 def _build_partition(g: Graph, layers: BfsLayers, lift: bool) -> NeighborhoodPartition:
+    if layers.eccentricity > 2:
+        raise WrongCase(f"center {layers.center} has eccentricity {layers.eccentricity}")
     ring2 = frozenset(layers.layer(2))
-    if any(g.adj_sets[u] & ring2 for u in ring2):
-        return _partition_linked_outer(g, layers, lift)
+    core = {u for u in ring2 if g.adj_sets[u] & ring2}
+    if core:
+        return _partition_linked_outer(g, layers, core, lift)
     return _partition_contact(g, layers)
 
 
@@ -595,7 +527,6 @@ def _role_map(g: Graph, part: NeighborhoodPartition) -> list[int | None]:
         (part.core_right, _CR),
         (part.outer_both, _OB),
         (part.outer_left_only, _OLO),
-        (part.outer_right_only, _ORO),
     ):
         for v in group:
             role[v] = code
@@ -611,7 +542,7 @@ def paint_partition(g: Graph, part: NeighborhoodPartition) -> EdgeColoring:
     """
     role = _role_map(g, part)
     table = _LINKED_TABLE if part.style == "linked-outer" else _CONTACT_TABLE
-    accents = part.accent_map()
+    accents = dict(part.accent_edge_of)
     mapping: dict[Edge, int] = {}
     for e in g.edges:
         a, b = e
@@ -662,10 +593,8 @@ def color_two_connected(
     differs. The first verified coloring wins; if none verifies,
     ConstructionFailure carries the first failing pair.
     """
-    _require_two_connected(g)
-    d = diameter(g)
-    if d is None or d > 2:
-        raise WrongCase(f"diameter {d} is outside this construction's case")
+    if not is_two_connected(g) or diameter(g) > 2:
+        raise WrongCase("this construction needs a 2-connected graph of diameter at most 2")
     if try_all_centers:
         center_order = list(range(g.n))
     else:
@@ -679,7 +608,7 @@ def color_two_connected(
             attempts += 1
             prov = Provenance(part.style, c, None, variant, attempts, attempts > 1)
             try:
-                return _finish_outcome(g, paint_partition(g, part), 5, cls, prov)
+                return _finish_outcome(g, paint_partition(g, part), cls, prov)
             except ConstructionFailure as exc:
                 if first_fail is None:
                     first_fail = exc.failing_pair
@@ -719,10 +648,7 @@ def color_diam2(
     if isinstance(cls, CompleteLike):
         coloring = EdgeColoring.from_map({e: 1 for e in g.edges})
         prov = Provenance("complete", None, None, "base", 1, False)
-        if g.m == 0:
-            cert = verify_rainbow_connected(g, coloring, want_witnesses=False)
-            return ColoringOutcome(coloring, 0, 1, cls, prov, cert)
-        return _finish_outcome(g, coloring, 1, cls, prov)
+        return _finish_outcome(g, coloring, cls, prov)
     if isinstance(cls, (BridgedCutVertex, BridgelessCutVertex)):
         return _color_cut_vertex(g, cls)
     return color_two_connected(g, center=center, try_all_centers=try_all_centers)

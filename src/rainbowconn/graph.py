@@ -89,9 +89,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
@@ -274,17 +271,6 @@ class ForestBipartition:
     forest_edges: tuple[Edge, ...]
     left: frozenset[int]
     right: frozenset[int]
-
-    @property
-    def covered(self) -> frozenset[int]:
-        return self.left | self.right
-
-    def side_of(self, v: int) -> str:
-        if v in self.left:
-            return "left"
-        if v in self.right:
-            return "right"
-        raise IndexOutOfRange(f"vertex {v} is not covered by this forest")
 
 
 def spanning_forest_bipartition(

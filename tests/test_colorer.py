@@ -41,13 +41,7 @@ from rainbowconn import (
     wheel,
 )
 from rainbowconn import colorer
-from rainbowconn.colorer import (
-    build_link_graph,
-    build_partition,
-    paint_partition,
-    partition_contact,
-    partition_linked_outer,
-)
+from rainbowconn.colorer import build_partition, paint_partition
 from rainbowconn.errors import GenerationFailed
 
 
@@ -280,7 +274,6 @@ def assert_partition_invariants(g, part):
         part.core_right,
         part.outer_both,
         part.outer_left_only,
-        part.outer_right_only,
     ]
     union = set()
     total = 0
@@ -290,8 +283,7 @@ def assert_partition_invariants(g, part):
     assert union == set(range(g.n))
     assert total == g.n, "role groups overlap"
     assert part.inner_left | part.inner_right == g.adj_sets[part.center]
-    assert not part.outer_right_only
-    accents = part.accent_map()
+    accents = dict(part.accent_edge_of)
     assert set(accents) == set(part.outer_left_only)
     for u, (a, b) in accents.items():
         other = b if a == u else a
@@ -299,7 +291,7 @@ def assert_partition_invariants(g, part):
         assert other in part.inner_left
         assert (min(u, other), max(u, other)) in set(g.edges)
     if part.style == "linked-outer":
-        assert part.core
+        assert part.core_left | part.core_right
     else:
         assert part.style == "contact"
         outer = set(range(g.n)) - {part.center} - g.adj_sets[part.center]
@@ -308,16 +300,16 @@ def assert_partition_invariants(g, part):
 
 
 def test_partition_linked_outer_cycle5():
-    part = partition_linked_outer(cycle(5), 0)
+    part = build_partition(cycle(5), 0)
     assert part.style == "linked-outer"
     assert_partition_invariants(cycle(5), part)
     # the two non-neighbors of the center are joined by an edge
-    assert part.core == frozenset({2, 3})
+    assert part.core_left | part.core_right == frozenset({2, 3})
 
 
 def test_partition_contact_bipartite():
     g = complete_bipartite(2, 3)
-    part = partition_contact(g, 0)
+    part = build_partition(g, 0)
     assert part.style == "contact"
     assert_partition_invariants(g, part)
 
@@ -325,9 +317,9 @@ def test_partition_contact_bipartite():
 def test_partition_center_validation():
     with pytest.raises(IndexOutOfRange):
         build_partition(cycle(5), 9)
-    # the hub of a wheel has eccentricity 1, not 2
+    # every vertex of a 7-cycle has eccentricity 3
     with pytest.raises(WrongCase):
-        partition_linked_outer(wheel(5), 5)
+        build_partition(cycle(7), 0)
 
 
 def test_partition_requires_two_connected():
@@ -335,19 +327,15 @@ def test_partition_requires_two_connected():
         build_partition(star(4), 0)
 
 
-def test_build_link_graph_rejects_outer_edges():
-    # the far ring of any Petersen vertex spans edges
-    with pytest.raises(WrongCase):
-        build_link_graph(petersen(), 0)
-
-
-def test_build_link_graph_bipartite():
-    g = complete_bipartite(2, 4)
-    link = build_link_graph(g, 0)
-    assert set(link.vertices) == set(g.adj_sets[0])
-    # all four inner vertices share the other side's hub, so the
-    # contact graph is complete
-    assert link.graph.m == 6
+def test_contact_partition_of_a_universal_center():
+    # The hub of a wheel has no outer ring, so the contact graph is the rim
+    # itself and its spanning path alternates sides.
+    g = wheel(5)
+    part = build_partition(g, 5)
+    assert part.style == "contact"
+    assert_partition_invariants(g, part)
+    assert part.inner_left == frozenset({0, 2, 4})
+    assert part.inner_right == frozenset({1, 3})
 
 
 @settings(max_examples=40)
@@ -465,6 +453,21 @@ def test_lifted_partition_gives_each_core_vertex_its_own_side():
     assert (linked, covered) == (1524, 1346)
 
 
+def test_contact_partitions_paint_verified_colorings():
+    # The lemma behind the contact style: when a center's outer ring is
+    # independent, its painted partition verifies. Lifting leaves a contact
+    # partition as it is, so the base partition is the only try there.
+    contact = 0
+    for g in two_connected_atlas_graphs():
+        for c in range(g.n):
+            part = build_partition(g, c)
+            if part.style != "contact":
+                continue
+            contact += 1
+            assert verify_rainbow_connected(g, paint_partition(g, part)).connected
+    assert contact == 1108
+
+
 def test_lifted_partition_rescues_two_connected_graphs():
     # Sparse graphs on which the base partition fails at every center; the
     # lifted partition verifies at center 0, or at center 1.
@@ -540,6 +543,19 @@ def test_color_diam2_dispatch_styles():
     assert color_diam2(star(3)).provenance.style == "bridged"
     assert color_diam2(windmill(2)).provenance.style == "cut-vertex"
     assert color_diam2(petersen()).provenance.style in ("linked-outer", "contact")
+
+
+def test_color_diam2_guarantee_is_the_class_budget_on_atlas():
+    nx = pytest.importorskip("networkx")
+    colored = 0
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        cls = classify(g)
+        if isinstance(cls, NotDiameterAtMost2):
+            continue
+        assert color_diam2(g).guarantee == guarantee_for(cls)
+        colored += 1
+    assert colored == 458
 
 
 def test_color_diam2_out_of_scope():

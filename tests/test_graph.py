@@ -177,7 +177,7 @@ def test_two_connected_means_no_cuts(g):
 def test_forest_bipartition_cycle():
     g = cycle(6)
     fb = spanning_forest_bipartition(g, range(6))
-    assert fb.covered == frozenset(range(6))
+    assert fb.left | fb.right == frozenset(range(6))
     assert len(fb.forest_edges) == 5
     for u, v in fb.forest_edges:
         assert (u in fb.left) != (v in fb.left)
@@ -186,9 +186,9 @@ def test_forest_bipartition_cycle():
 def test_forest_bipartition_subset():
     g = build_graph(6, [(0, 1), (1, 2), (3, 4), (0, 5)])
     fb = spanning_forest_bipartition(g, [0, 1, 2, 3, 4])
-    assert fb.covered == frozenset([0, 1, 2, 3, 4])
+    assert fb.left | fb.right == frozenset([0, 1, 2, 3, 4])
     assert len(fb.forest_edges) == 3
-    assert fb.side_of(0) != fb.side_of(1)
+    assert (0 in fb.left) != (1 in fb.left)
 
 
 def test_forest_bipartition_isolated_guard():

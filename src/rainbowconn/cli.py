@@ -17,7 +17,13 @@ import sys
 import time
 from pathlib import Path
 
-from .colorer import classify, color_diam2, guarantee_for
+from .colorer import (
+    Diam2Classification,
+    _color_classified,
+    classify,
+    color_diam2,
+    guarantee_for,
+)
 from .coloring import EdgeColoring
 from .errors import (
     CapExceeded,
@@ -78,8 +84,7 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _input_block(path: str, g: Graph) -> dict:
-    cls = classify(g)
+def _input_block(path: str, g: Graph, cls: Diam2Classification) -> dict:
     block = {
         "path": path,
         "n": g.n,
@@ -118,7 +123,7 @@ def _emit(report: dict, args) -> None:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph(args.graph)
-    block = _input_block(args.graph, g)
+    block = _input_block(args.graph, g, classify(g))
     outcome = {
         "two_connected": is_two_connected(g),
         "bridges": [list(e) for e in bridges(g)],
@@ -139,10 +144,15 @@ def cmd_analyze(args) -> int:
 def cmd_color(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph(args.graph)
-    block = _input_block(args.graph, g)
+    cls = classify(g)
+    block = _input_block(args.graph, g, cls)
     try:
-        result = color_diam2(
-            g, center=args.center, try_all_centers=args.all_centers
+        result = _color_classified(
+            g,
+            cls,
+            center=args.center,
+            try_all_centers=args.all_centers,
+            want_witnesses=args.witnesses,
         )
     except ConstructionFailure as exc:
         outcome = {
@@ -173,8 +183,7 @@ def cmd_color(args) -> int:
         "coloring": _coloring_rows(result.coloring),
     }
     if args.witnesses:
-        cert = verify_rainbow_connected(g, result.coloring, want_witnesses=True)
-        outcome["witnesses"] = _witness_list(cert.witnesses or {})
+        outcome["witnesses"] = _witness_list(result.certificate.witnesses)
     text = format_coloring(
         result.coloring,
         header=[
@@ -206,7 +215,7 @@ def cmd_verify(args) -> int:
         outcome["witnesses"] = _witness_list(cert.witnesses)
     rep = make_report(
         "verify",
-        _input_block(args.graph, g),
+        _input_block(args.graph, g, classify(g)),
         outcome,
         elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
@@ -235,7 +244,7 @@ def cmd_exact(args) -> int:
         outcome["witness"] = _coloring_rows(result.witness)
     rep = make_report(
         "exact",
-        _input_block(args.graph, g),
+        _input_block(args.graph, g, classify(g)),
         outcome,
         elapsed_ms=(time.perf_counter() - t0) * 1000,
     )

@@ -185,7 +185,11 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ColoringOutcome:
-    """A verified coloring together with its budget and provenance."""
+    """A verified coloring together with its budget and provenance.
+
+    certificate is the verifier's verdict on the returned coloring; it holds
+    one rainbow path per pair only when witnesses were asked for.
+    """
 
     coloring: EdgeColoring
     colors_used: int
@@ -196,10 +200,14 @@ class ColoringOutcome:
 
 
 def _finish_outcome(
-    g: Graph, coloring: EdgeColoring, cls: Diam2Classification, prov: Provenance
+    g: Graph,
+    coloring: EdgeColoring,
+    cls: Diam2Classification,
+    prov: Provenance,
+    want_witnesses: bool = False,
 ) -> ColoringOutcome:
     guarantee = guarantee_for(cls)
-    cert = verify_rainbow_connected(g, coloring, want_witnesses=False)
+    cert = verify_rainbow_connected(g, coloring, want_witnesses=want_witnesses)
     if not cert.connected:
         raise ConstructionFailure(
             f"{prov.style} construction failed verification at pair {cert.failing_pair}",
@@ -220,7 +228,7 @@ def _finish_outcome(
 
 
 def _color_cut_vertex(
-    g: Graph, cls: BridgedCutVertex | BridgelessCutVertex
+    g: Graph, cls: BridgedCutVertex | BridgelessCutVertex, want_witnesses: bool = False
 ) -> ColoringOutcome:
     """Color a diameter-2 graph with a cut vertex inside its class budget.
 
@@ -249,7 +257,7 @@ def _color_cut_vertex(
                 mapping[e] = 1
     coloring = EdgeColoring.from_map(mapping)
     prov = Provenance("bridged" if k else "cut-vertex", v, None, "base", 1, False)
-    return _finish_outcome(g, coloring, cls, prov)
+    return _finish_outcome(g, coloring, cls, prov, want_witnesses)
 
 
 def color_bridged(g: Graph, cls: BridgedCutVertex) -> ColoringOutcome:
@@ -584,6 +592,7 @@ def color_two_connected(
     *,
     center: int | None = None,
     try_all_centers: bool = False,
+    want_witnesses: bool = False,
 ) -> ColoringOutcome:
     """Five colors for a 2-connected graph of diameter at most 2.
 
@@ -591,7 +600,8 @@ def color_two_connected(
     first, then the rest ascending. At each center the base partition is
     painted, and when it fails verification the lifted partition, if it
     differs. The first verified coloring wins; if none verifies,
-    ConstructionFailure carries the first failing pair.
+    ConstructionFailure carries the first failing pair. With want_witnesses
+    the verification that accepts the coloring also collects its witnesses.
     """
     if not is_two_connected(g) or diameter(g) > 2:
         raise WrongCase("this construction needs a 2-connected graph of diameter at most 2")
@@ -608,7 +618,9 @@ def color_two_connected(
             attempts += 1
             prov = Provenance(part.style, c, None, variant, attempts, attempts > 1)
             try:
-                return _finish_outcome(g, paint_partition(g, part), cls, prov)
+                return _finish_outcome(
+                    g, paint_partition(g, part), cls, prov, want_witnesses
+                )
             except ConstructionFailure as exc:
                 if first_fail is None:
                     first_fail = exc.failing_pair
@@ -637,9 +649,23 @@ def color_diam2(
     exceeds the guarantee. A center outside 0..n-1 raises IndexOutOfRange
     whatever the class; only the two-connected construction reads it.
     """
+    return _color_classified(
+        g, classify(g), center=center, try_all_centers=try_all_centers
+    )
+
+
+def _color_classified(
+    g: Graph,
+    cls: Diam2Classification,
+    *,
+    center: int | None = None,
+    try_all_centers: bool = False,
+    want_witnesses: bool = False,
+) -> ColoringOutcome:
+    """color_diam2 for a caller that has already classified g; with
+    want_witnesses the certificate also holds the witnesses."""
     if center is not None and not 0 <= center < g.n:
         raise IndexOutOfRange(f"center {center} outside 0..{g.n - 1}")
-    cls = classify(g)
     if isinstance(cls, NotDiameterAtMost2):
         d = diameter(g)
         if d is None:
@@ -648,7 +674,9 @@ def color_diam2(
     if isinstance(cls, CompleteLike):
         coloring = EdgeColoring.from_map({e: 1 for e in g.edges})
         prov = Provenance("complete", None, None, "base", 1, False)
-        return _finish_outcome(g, coloring, cls, prov)
+        return _finish_outcome(g, coloring, cls, prov, want_witnesses)
     if isinstance(cls, (BridgedCutVertex, BridgelessCutVertex)):
-        return _color_cut_vertex(g, cls)
-    return color_two_connected(g, center=center, try_all_centers=try_all_centers)
+        return _color_cut_vertex(g, cls, want_witnesses)
+    return color_two_connected(
+        g, center=center, try_all_centers=try_all_centers, want_witnesses=want_witnesses
+    )

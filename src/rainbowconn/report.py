@@ -1,15 +1,18 @@
 """Run reports: one nested dict per command, rendered as text or JSON.
 
 The structured format is plain JSON with sorted keys, so reports round-trip
-losslessly and repeated runs diff cleanly. The text format is an indented
-key/value rendering of the same dict for reading in a terminal. Timing lives
-under the single key "elapsed_ms"; strip_timing removes every occurrence so
-determinism checks can compare the rest byte for byte.
+losslessly and repeated runs diff cleanly. Its bytes are exactly those of
+json.dumps(report, indent=2, sort_keys=True) plus a newline; every dict key
+must be a str. The text format is an indented key/value rendering of the
+same dict for reading in a terminal. Timing lives under the single key
+"elapsed_ms"; strip_timing removes every occurrence so determinism checks
+can compare the rest byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 TIMING_KEY = "elapsed_ms"
@@ -32,7 +35,53 @@ def make_report(
 
 
 def render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as JSON, byte for byte json.dumps(report, indent=2,
+    sort_keys=True) + "\n", without that call's pure-Python encoder.
+
+    Dict keys must be str: any other key raises TypeError, where json.dumps
+    would coerce it to a string.
+    """
+    out: list[str] = []
+    _encode(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value: Any, nl: str, out: list[str]) -> None:
+    """Append value's indented JSON to out; nl is a newline plus the indent
+    of the line value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        # type() rather than isinstance, so bools take the general path.
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def parse_structured(text: str) -> dict[str, Any]:

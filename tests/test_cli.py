@@ -1,10 +1,20 @@
 """End-to-end command tests driven through main(argv)."""
 
 import io
+import json
 
 import pytest
 
-from rainbowconn import EdgeColoring, build_graph, cycle, parse_edge_list, petersen, star
+from rainbowconn import (
+    EdgeColoring,
+    build_graph,
+    cycle,
+    parse_edge_list,
+    petersen,
+    star,
+    tight_example,
+)
+from rainbowconn import cli, colorer
 from rainbowconn.cli import (
     EXIT_BUDGET,
     EXIT_FAILED,
@@ -151,6 +161,44 @@ def test_color_center_out_of_range_on_cut_vertex_graph(tmp_path, capsys):
     gpath = write_graph(tmp_path, star(4))
     assert main(["color", gpath, "--center", "99"]) == EXIT_INPUT
     assert "center 99" in capsys.readouterr().err
+
+
+def test_color_witnesses_verifies_once(tmp_path, capsys, monkeypatch):
+    real = cli.verify_rainbow_connected
+    calls = []
+
+    def counting(g, coloring, **kwargs):
+        calls.append(kwargs.get("want_witnesses"))
+        return real(g, coloring, **kwargs)
+
+    monkeypatch.setattr(colorer, "verify_rainbow_connected", counting)
+    monkeypatch.setattr(cli, "verify_rainbow_connected", counting)
+    g = petersen()
+    path = write_graph(tmp_path, g)
+    assert main(["color", path, "--witnesses", "--format", "structured"]) == EXIT_OK
+    out = structured(capsys)["outcome"]
+    assert calls == [True]
+    coloring = EdgeColoring.from_map({(u, v): c for u, v, c in out["coloring"]})
+    fresh = real(g, coloring, want_witnesses=True).witnesses
+    assert out["witnesses"] == [
+        {"pair": list(pair), "path": list(p)} for pair, p in sorted(fresh.items())
+    ]
+
+
+def test_color_classifies_once(tmp_path, capsys, monkeypatch):
+    real = colorer.classify
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(colorer, "classify", counting)
+    monkeypatch.setattr(cli, "classify", counting)
+    path = write_graph(tmp_path, tight_example(2, 3))
+    assert main(["color", path, "--format", "structured"]) == EXIT_OK
+    assert structured(capsys)["outcome"]["provenance"]["style"] == "bridged"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +470,35 @@ def test_fuzz_hunt_touches_findings_file(tmp_path, capsys):
 def test_fuzz_bad_mode_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "explode"])
+
+
+# ---------------------------------------------------------------------------
+# structured report bytes
+
+# The generator specs of acceptance criterion 8.
+CRITERION_8_SPECS = [
+    ["petersen"],
+    ["cycle", "n=5"],
+    ["complete-bipartite", "s=2", "t=4"],
+    ["star", "leaves=4"],
+    ["tight", "k=2", "r=2"],
+    ["random-diam2", "n=9", "p=0.5", "--seed", "7"],
+]
+
+
+@pytest.mark.parametrize("spec", CRITERION_8_SPECS, ids=lambda spec: spec[0])
+def test_structured_reports_are_json_dumps_bytes(tmp_path, capsys, spec):
+    gpath = str(tmp_path / "g.txt")
+    cpath = str(tmp_path / "c.txt")
+    assert main(["gen", *spec, "--out", gpath]) == EXIT_OK
+    commands = [
+        ["analyze", gpath],
+        ["color", gpath, "--witnesses", "--out", cpath],
+        ["verify", gpath, cpath, "--witnesses"],
+        ["exact", gpath, "--budget", "100000"],
+        ["fuzz", "validate", *spec, "--count", "3"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--format", "structured"]) in (EXIT_OK, EXIT_BUDGET)
+        out = capsys.readouterr().out
+        assert out == json.dumps(parse_structured(out), indent=2, sort_keys=True) + "\n"

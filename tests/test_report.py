@@ -1,6 +1,11 @@
 """Report construction and the two render formats."""
 
+import json
+import math
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from rainbowconn.report import (
     TIMING_KEY,
@@ -55,6 +60,57 @@ def test_render_json_round_trip():
 def test_render_json_sorts_keys():
     text = render_json({"b": 1, "a": 2})
     assert text.index('"a"') < text.index('"b"')
+
+
+def json_dumps_reference(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+    # int lists with bools mixed in take the general path, not the int join
+    st.lists(st.one_of(st.integers(), st.booleans())),
+)
+
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+@example({"a": [[], {}, ()], "b": {"c": {"d": []}}})
+@example([1, True, 2, False, 2**70, -(2**65)])
+@example([-0.0, math.nan, math.inf, -math.inf])
+@example({"é\u2603\U0001f600": "\x00\x1f\n\t\"\\ \u00ff\ud800"})
+def test_render_json_matches_json_dumps_bytes(value):
+    assert render_json(value) == json_dumps_reference(value)
+
+
+def test_render_json_rejects_non_str_keys():
+    # json.dumps would coerce these keys to strings; reports use str keys only.
+    for value in ({1: "a"}, {"outer": {None: 1}}, [{2.5: []}], {True: 1}):
+        json_dumps_reference(value)
+        with pytest.raises(TypeError):
+            render_json(value)
+
+
+def test_render_json_rejects_unserializable_values():
+    with pytest.raises(TypeError):
+        render_json({"s": {1, 2}})
 
 
 def test_render_text_nesting():

@@ -8,6 +8,13 @@ each class has a construction with a color budget:
   bridgeless cut vertex    3 colors
   two-connected            5 colors
 
+The class comes from the universal vertices, without a lowlink scan. In a
+diameter-2 graph a cut vertex is adjacent to every other vertex, since two
+vertices it separates can only share it as a common neighbor; so a graph
+without exactly one universal vertex is two-connected. With exactly one, the
+components left by deleting it decide the class, and its bridges are exactly
+the edges to the single-vertex components.
+
 The constructions color edges by role around a center vertex. For a
 two-connected graph, build_partition is the one partition builder: the outer
 ring (vertices at distance two) picks its style, linked-outer when that ring
@@ -36,10 +43,8 @@ from .graph import (
     Edge,
     Graph,
     bfs_layers,
-    bridges,
     build_graph,
     components,
-    cut_vertices,
     diameter,
     is_connected,
     is_two_connected,
@@ -116,9 +121,14 @@ Diam2Classification = (
 def classify(g: Graph) -> Diam2Classification:
     """Place a graph into exactly one of the five structural classes.
 
-    For connected diameter-2 graphs with a cut vertex, that vertex is unique
-    and adjacent to every other vertex; violations of those guarantees raise
-    StructureViolation because they contradict the class definitions.
+    A cut vertex of a diameter-2 graph is adjacent to every other vertex: two
+    vertices it separates are not adjacent, so it is their only common
+    neighbor. A second universal vertex would keep the graph connected
+    without the first, so a graph with no universal vertex or with two or
+    more is two-connected. With exactly one, v, the components of the graph
+    minus v decide: v is the cut vertex when there are two or more, and its
+    bridges are the edges to the single-vertex components, since every other
+    edge lies on a triangle through v. No lowlink scan is needed.
     """
     if g.n == 0:
         return NotDiameterAtMost2()
@@ -127,24 +137,15 @@ def classify(g: Graph) -> Diam2Classification:
         return NotDiameterAtMost2()
     if d <= 1:
         return CompleteLike()
-    cuts = cut_vertices(g)
-    if not cuts:
+    top = g.n - 1
+    universal = [v for v, nbrs in enumerate(g.adj) if len(nbrs) == top]
+    if len(universal) != 1:
         return TwoConnected()
-    if len(cuts) != 1:
-        raise StructureViolation(
-            f"diameter-2 graph with {len(cuts)} cut vertices: {cuts}"
-        )
-    v = cuts[0]
-    if g.degree(v) != g.n - 1:
-        raise StructureViolation(f"cut vertex {v} is not adjacent to every vertex")
+    v = universal[0]
     comps = components(g, without=v)
-    k = len(bridges(g))
-    trivial = sum(1 for c in comps if len(c) == 1)
-    if k != trivial:
-        raise StructureViolation(
-            f"bridge count {k} does not match the {trivial} pendant components"
-        )
-    if k >= 1:
+    if len(comps) == 1:
+        return TwoConnected()
+    if any(len(c) == 1 for c in comps):
         return BridgedCutVertex(v, comps)
     return BridgelessCutVertex(v, comps)
 
@@ -237,7 +238,9 @@ def _color_cut_vertex(
     edges get b+1, center-right edges b+2, and internal edges reuse color 1.
     """
     v = cls.cut_vertex
-    bridge_edges = bridges(g)
+    # The bridges join v to its pendant components, as classify shows; sorted,
+    # they come in the order of bridges(g).
+    bridge_edges = sorted(normalize_edge(v, c[0]) for c in cls.components if len(c) == 1)
     mapping: dict[Edge, int] = {e: i for i, e in enumerate(bridge_edges, start=1)}
     k = len(bridge_edges)
     b = max(k, 1)
@@ -255,7 +258,8 @@ def _color_cut_vertex(
                 mapping[e] = b + 1 if other in fb.left else b + 2
             else:
                 mapping[e] = 1
-    coloring = EdgeColoring.from_map(mapping)
+    # The keys are normalized edges and the colors positive ints already.
+    coloring = EdgeColoring(mapping, max(mapping.values(), default=0))
     prov = Provenance("bridged" if k else "cut-vertex", v, None, "base", 1, False)
     return _finish_outcome(g, coloring, cls, prov, want_witnesses)
 
@@ -569,7 +573,8 @@ def paint_partition(g: Graph, part: NeighborhoodPartition) -> EdgeColoring:
                 " which the structure forbids"
             )
         mapping[e] = color
-    return EdgeColoring.from_map(mapping)
+    # The keys are edges of g, so normalized, and the tables hold colors 1..5.
+    return EdgeColoring(mapping, max(mapping.values(), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +610,14 @@ def color_two_connected(
     """
     if not is_two_connected(g) or diameter(g) > 2:
         raise WrongCase("this construction needs a 2-connected graph of diameter at most 2")
+    return _color_two_connected(g, center, try_all_centers, want_witnesses)
+
+
+def _color_two_connected(
+    g: Graph, center: int | None, try_all_centers: bool, want_witnesses: bool
+) -> ColoringOutcome:
+    """color_two_connected for a graph already known to be 2-connected with
+    diameter at most 2."""
     if try_all_centers:
         center_order = list(range(g.n))
     else:
@@ -677,6 +690,4 @@ def _color_classified(
         return _finish_outcome(g, coloring, cls, prov, want_witnesses)
     if isinstance(cls, (BridgedCutVertex, BridgelessCutVertex)):
         return _color_cut_vertex(g, cls, want_witnesses)
-    return color_two_connected(
-        g, center=center, try_all_centers=try_all_centers, want_witnesses=want_witnesses
-    )
+    return _color_two_connected(g, center, try_all_centers, want_witnesses)

@@ -15,7 +15,9 @@ class EdgeColoring:
 
     The coloring need not be proper and need not use every value up to
     color_count. Instances are value objects: build them with from_map or
-    from_sequence and treat them as read only.
+    from_sequence and treat them as read only. Calling the constructor
+    directly skips validation, so it is for callers whose keys are already
+    normalized edges and whose colors are positive ints.
     """
 
     color_of: dict[Edge, int] = field(compare=True)
@@ -27,7 +29,9 @@ class EdgeColoring:
         for (u, v), c in mapping.items():
             if u == v:
                 raise InvalidEdge(f"self loop at vertex {u}")
-            if not isinstance(c, int) or c < 1:
+            # bool is an int subclass, but True would be written out as
+            # "True", which no coloring file accepts.
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ColoringMismatch(f"edge ({u}, {v}) has invalid color {c!r}")
             clean[normalize_edge(u, v)] = c
         count = max(clean.values(), default=0)
@@ -72,5 +76,9 @@ class EdgeColoring:
 
     def as_sequence(self, g: Graph) -> tuple[int, ...]:
         """Colors aligned with g.edges; raises if coverage differs."""
-        self.ensure_covers(g)
-        return tuple(self.color_of[e] for e in g.edges)
+        seq = tuple(map(self.color_of.get, g.edges))
+        # Every edge of g is colored and no other edge is exactly when no
+        # lookup missed and the sizes agree; otherwise ensure_covers raises.
+        if None in seq or len(self.color_of) != g.m:
+            self.ensure_covers(g)
+        return seq

@@ -43,20 +43,36 @@ def _int_fields(line: str, lineno: int, count: int) -> list[int]:
 def parse_edge_list(text: str) -> Graph:
     declared: tuple[int, int] | None = None
     raw_edges: list[tuple[int, int]] = []
-    for lineno, line in _significant_lines(text):
-        if line.startswith("p"):
+    # One split per line does the work of _significant_lines and _int_fields:
+    # the fields are empty exactly when the stripped line is, and the first
+    # field starts with "#" or "p" exactly when the stripped line does.
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        lead = fields[0][0]
+        if lead == "#":
+            continue
+        if lead == "p":
             if declared is not None or raw_edges:
                 raise ParseError(f"line {lineno}: p line must come first")
-            fields = _int_fields(line[1:], lineno, 2)
-            if fields[0] < 0 or fields[1] < 0:
+            n, m = _int_fields(raw.strip()[1:], lineno, 2)
+            if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative size in p line")
-            if fields[0] > MAX_VERTICES:
+            if n > MAX_VERTICES:
                 raise ParseError(
-                    f"line {lineno}: {fields[0]} vertices exceed the limit of {MAX_VERTICES}"
+                    f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}"
                 )
-            declared = (fields[0], fields[1])
+            declared = (n, m)
             continue
-        u, v = _int_fields(line, lineno, 2)
+        if len(fields) != 2:
+            raise ParseError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: non-integer field in {raw.strip()!r}"
+            ) from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex index")
         if u >= MAX_VERTICES or v >= MAX_VERTICES:

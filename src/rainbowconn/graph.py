@@ -107,13 +107,16 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InvalidEdge(f"self loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-        seen.add(normalize_edge(u, v))
+        seen.add((u, v) if u < v else (v, u))
     ordered = tuple(sorted(seen))
     adj: list[list[int]] = [[] for _ in range(n)]
+    # Each list comes out sorted: x meets its smaller neighbors w on the edges
+    # (w, x), ordered by w, and all of them precede the edges (x, w'), which
+    # bring its larger neighbors ordered by w'.
     for u, v in ordered:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, ordered, tuple(tuple(sorted(a)) for a in adj))
+    return Graph(n, ordered, tuple(map(tuple, adj)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import or_
 
 from .coloring import EdgeColoring
-from .errors import CapExceeded, IndexOutOfRange
+from .errors import CapExceeded, ColoringMismatch, IndexOutOfRange
 from .graph import Graph, UNREACHABLE
 
 # Bitmask cap on distinct colors: the reach table holds at most 2^16 color
@@ -274,12 +274,22 @@ def rainbow_path(
 def check_witness(
     g: Graph, coloring: EdgeColoring, u: int, w: int, path: tuple[int, ...]
 ) -> bool:
-    """Re-check one witness path from first principles."""
+    """Re-check one witness path from first principles.
+
+    Raises ColoringMismatch when the coloring leaves an edge of the path
+    uncolored; no other edge is looked at.
+    """
     if not path or path[0] != u or path[-1] != w:
         return False
     if len(set(path)) != len(path):
         return False
     if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
         return False
-    colors = [coloring.color(a, b) for a, b in zip(path, path[1:])]
+    colors = []
+    for a, b in zip(path, path[1:]):
+        e = (a, b) if a < b else (b, a)
+        c = coloring.color_of.get(e)
+        if c is None:
+            raise ColoringMismatch(f"coloring does not cover path edge {e}")
+        colors.append(c)
     return len(set(colors)) == len(colors)

@@ -22,6 +22,7 @@ from rainbowconn import (
     StructureViolation,
     TwoConnected,
     WrongCase,
+    bridges,
     build_graph,
     classify,
     color_bridged,
@@ -30,6 +31,7 @@ from rainbowconn import (
     color_two_connected,
     complete,
     complete_bipartite,
+    cut_vertices,
     cycle,
     diameter,
     guarantee_for,
@@ -168,6 +170,31 @@ def test_classify_agrees_with_brute_structure(g):
         assert cls.bridge_count == len(brute_bridges(g)) > 0
     else:
         assert brute_bridges(g) == []
+
+
+def test_classify_matches_the_lowlink_scan_on_atlas():
+    # classify reads the class off the universal vertex; the lowlink scan
+    # behind cut_vertices and bridges must agree on every connected
+    # diameter-2 graph with at most 7 vertices, and the bridged construction
+    # must give the bridges of bridges(g) the colors 1..k in that order.
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        if diameter(g) != 2:
+            continue
+        checked += 1
+        cls = classify(g)
+        cuts, found = cut_vertices(g), bridges(g)
+        if not cuts:
+            assert isinstance(cls, TwoConnected), sorted(h.edges())
+            continue
+        assert isinstance(cls, BridgedCutVertex if found else BridgelessCutVertex)
+        assert (cls.cut_vertex,) == cuts
+        assert getattr(cls, "bridge_count", 0) == len(found)
+        coloring = color_diam2(g).coloring
+        assert [coloring.color(*e) for e in found] == list(range(1, len(found) + 1))
+    assert checked == 451
 
 
 def test_guarantee_values():

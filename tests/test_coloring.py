@@ -22,6 +22,15 @@ def test_from_map_rejects_bad_colors():
         EdgeColoring.from_map({(2, 2): 1})
 
 
+def test_from_map_rejects_bool_colors():
+    # A bool would be written to a coloring file as "True", which
+    # parse_coloring rejects.
+    with pytest.raises(ColoringMismatch, match=r"^edge \(0, 1\) has invalid color True$"):
+        EdgeColoring.from_map({(0, 1): True, (1, 2): 2})
+    with pytest.raises(ColoringMismatch, match="invalid color False"):
+        EdgeColoring.from_map({(1, 0): False})
+
+
 def test_from_sequence_aligns_with_sorted_edges():
     g = cycle(4)
     c = EdgeColoring.from_sequence(g, [1, 2, 1, 2])
@@ -54,6 +63,31 @@ def test_ensure_covers():
     )
     with pytest.raises(ColoringMismatch):
         extra.ensure_covers(g)
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        (
+            {(0, 1): 1, (0, 3): 1, (1, 2): 1},
+            "coloring does not match edge set: 1 uncolored (e.g. (2, 3))",
+        ),
+        (
+            {(0, 1): 1, (0, 3): 1, (1, 2): 1, (2, 3): 1, (1, 3): 2, (0, 2): 2},
+            "coloring does not match edge set: 2 unknown (e.g. (0, 2))",
+        ),
+        (
+            {(0, 1): 1, (0, 3): 1, (0, 2): 1},
+            "coloring does not match edge set: 2 uncolored (e.g. (1, 2)),"
+            " 1 unknown (e.g. (0, 2))",
+        ),
+    ],
+    ids=["missing", "extra", "both"],
+)
+def test_as_sequence_mismatch_messages(mapping, message):
+    with pytest.raises(ColoringMismatch) as info:
+        EdgeColoring.from_map(mapping).as_sequence(cycle(4))
+    assert str(info.value) == message
 
 
 def test_items_sorted():

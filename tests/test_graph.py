@@ -5,8 +5,10 @@ from hypothesis import given
 
 import oracles
 import rainbowconn.graph as graph_mod
+from rainbowconn import cli
 from rainbowconn.colorer import classify, color_diam2
 from rainbowconn.errors import IndexOutOfRange, InvalidEdge, IsolatedVertex
+from rainbowconn.fileio import format_edge_list
 from rainbowconn.generators import (
     complete,
     complete_bipartite,
@@ -233,7 +235,7 @@ def test_srg_matches_brute_force(g):
         assert (got.n, got.k, got.lam, got.mu) == want
 
 
-def test_structural_facts_are_computed_once(monkeypatch):
+def test_structural_facts_are_computed_once(monkeypatch, tmp_path, capsys):
     bfs_calls, scan_calls = [], []
     real_bfs, real_scan = graph_mod.bfs_layers, graph_mod._lowlink_scan
 
@@ -250,21 +252,31 @@ def test_structural_facts_are_computed_once(monkeypatch):
 
     g = petersen()
     classify(g)
-    before = (len(bfs_calls), len(scan_calls))
-    # The bitset test settles diameter 2 without a BFS.
-    assert before == (0, 1)
+    # The bitset test settles diameter 2 without a BFS, and the universal
+    # vertices settle the class without a lowlink scan.
+    assert (len(bfs_calls), len(scan_calls)) == (0, 0)
     assert diameter(g) == 2
     assert bridges(g) == ()
+    assert (len(bfs_calls), len(scan_calls)) == (0, 1)
     assert cut_vertices(g) == ()
     assert is_connected(g)
     assert is_two_connected(g)
-    assert (len(bfs_calls), len(scan_calls)) == before
+    assert (len(bfs_calls), len(scan_calls)) == (0, 1)
 
     for h in (petersen(), star(4), tight_example(2, 2), wheel(6)):
         color_diam2(h)
-        # No diameter BFS at diameter 2, and one lowlink scan, no more.
+        # No diameter BFS at diameter 2, and no lowlink scan of h at all.
         assert sum(1 for x in bfs_calls if x is h) == 0
-        assert sum(1 for x in scan_calls if x is h) == 1
+        assert sum(1 for x in scan_calls if x is h) == 0
+
+        # analyze pays for one scan, for the bridge and cut-vertex fields of
+        # its input block; the two-connected and bridge outcome fields reuse it.
+        path = tmp_path / "h.txt"
+        path.write_text(format_edge_list(h))
+        before = len(scan_calls)
+        assert cli.main(["analyze", str(path), "--format", "structured"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(scan_calls) == before + 1
 
     # Other graphs fall back to one all-sources BFS, run once.
     h = cycle(7)

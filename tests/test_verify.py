@@ -60,6 +60,16 @@ def test_coloring_must_cover_edges():
         verify_rainbow_connected(g, EdgeColoring.from_map({(0, 1): 1}))
 
 
+def test_check_witness_names_an_uncolored_path_edge():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    partial = EdgeColoring.from_map({(0, 1): 1})
+    with pytest.raises(ColoringMismatch, match=r"^coloring does not cover path edge \(1, 2\)$"):
+        check_witness(g, partial, 0, 2, (0, 1, 2))
+    # Only the path's own edges need colors.
+    assert check_witness(g, partial, 0, 1, (0, 1))
+    assert check_witness(g, partial, 1, 0, (1, 0))
+
+
 def test_color_cap():
     g = cycle(6)
     colors = [1, 2, 3, 4, 1, 2]

@@ -33,7 +33,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidEdge,
     InvalidSpec,
-    IsolatedVertex,
     OutOfScopeGraph,
     ParseError,
     WrongCase,
@@ -56,7 +55,6 @@ _INPUT_ERRORS = (
     ColoringMismatch,
     InvalidEdge,
     IndexOutOfRange,
-    IsolatedVertex,
     OutOfScopeGraph,
     CapExceeded,
     WrongCase,

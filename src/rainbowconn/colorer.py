@@ -23,6 +23,23 @@ an independent verifier: when a two-connected coloring fails, the lifted
 partition of the same center is tried, then the next center, and
 ConstructionFailure is raised if none verifies. Both cut-vertex classes share
 one construction.
+
+The two-connected construction runs only on a graph that is 2-connected with
+diameter at most 2: build_partition and color_two_connected check it on entry,
+and color_diam2 knows it from the class. Nothing after that needs a check:
+  - each center has eccentricity at most 2, each outer vertex an inner neighbor;
+  - the outer neighbors of a core vertex are core too, so the core has no
+    isolated vertex, and an outer vertex outside it has only inner neighbors;
+  - an inner vertex with no core neighbor shares an inner neighbor with each
+    core vertex, so it sees a seeded side;
+  - the contact graph is connected, since G minus the center is and each
+    outer vertex on a path there sits between two inner vertices;
+  - one-sided outer vertices on opposite sides would share no neighbor, so
+    after mirroring all are left-only, with only inner-left neighbors and at
+    least two of them (a 2-connected graph has no vertex of degree 1);
+  - so every vertex has a role, and every edge's role pair is in its style's
+    table or joins inner-left to left-only.
+The verifier still checks every coloring, and _finish_outcome its budget.
 """
 
 from __future__ import annotations
@@ -46,7 +63,6 @@ from .graph import (
     build_graph,
     components,
     diameter,
-    is_connected,
     is_two_connected,
     normalize_edge,
     spanning_forest_bipartition,
@@ -245,19 +261,16 @@ def _color_cut_vertex(
     k = len(bridge_edges)
     b = max(k, 1)
     subset = [u for comp in cls.components if len(comp) > 1 for u in comp]
-    if not subset and g.m != k:
-        raise StructureViolation("pendant-only graph has non-bridge edges")
-    if subset:
-        fb = spanning_forest_bipartition(g, subset, require_no_isolated=True)
-        for e in g.edges:
-            if e in mapping:
-                continue
-            a, c = e
-            if a == v or c == v:
-                other = c if a == v else a
-                mapping[e] = b + 1 if other in fb.left else b + 2
-            else:
-                mapping[e] = 1
+    fb = spanning_forest_bipartition(g, subset)
+    for e in g.edges:
+        if e in mapping:
+            continue
+        a, c = e
+        if a == v or c == v:
+            other = c if a == v else a
+            mapping[e] = b + 1 if other in fb.left else b + 2
+        else:
+            mapping[e] = 1
     # The keys are normalized edges and the colors positive ints already.
     coloring = EdgeColoring(mapping, max(mapping.values(), default=0))
     prov = Provenance("bridged" if k else "cut-vertex", v, None, "base", 1, False)
@@ -291,16 +304,6 @@ def color_cutvertex_bridgeless(g: Graph, cls: BridgelessCutVertex) -> ColoringOu
 
 # Vertex roles around a center, used to pick edge colors by role pair.
 _C, _IL, _IR, _CL, _CR, _OB, _OLO = range(7)
-
-_ROLE_NAMES = {
-    _C: "center",
-    _IL: "inner-left",
-    _IR: "inner-right",
-    _CL: "core-left",
-    _CR: "core-right",
-    _OB: "outer-both",
-    _OLO: "outer-left-only",
-}
 
 
 @dataclass(frozen=True)
@@ -344,37 +347,17 @@ def _finish_partition(
     right_only: set[int] = set()
     for u in outer_rest:
         nb = g.adj_sets[u]
-        has_left = bool(nb & inner_left)
-        has_right = bool(nb & inner_right)
-        if has_left and has_right:
-            both.add(u)
-        elif has_left:
+        if not nb & inner_right:
             left_only.add(u)
-        elif has_right:
+        elif not nb & inner_left:
             right_only.add(u)
         else:
-            raise StructureViolation(f"outer vertex {u} touches neither inner side")
-    if left_only and right_only:
-        # Two such vertices would sit at distance three or more.
-        raise StructureViolation(
-            "one-sided outer vertices on both sides in a diameter-2 graph"
-        )
+            both.add(u)
     if right_only:
         inner_left, inner_right = inner_right, inner_left
         core_left, core_right = core_right, core_left
         left_only = right_only
-    accents: list[tuple[int, Edge]] = []
-    for u in sorted(left_only):
-        nb = g.adj_sets[u]
-        if not nb <= inner_left:
-            raise StructureViolation(
-                f"one-sided outer vertex {u} has a neighbor outside the left side"
-            )
-        if len(nb) < 2:
-            raise StructureViolation(
-                f"outer vertex {u} has degree {len(nb)} in a 2-connected graph"
-            )
-        accents.append((u, normalize_edge(u, min(nb))))
+    accents = tuple((u, normalize_edge(u, min(g.adj_sets[u]))) for u in sorted(left_only))
     return NeighborhoodPartition(
         style,
         center,
@@ -384,7 +367,7 @@ def _finish_partition(
         frozenset(core_right),
         frozenset(both),
         frozenset(left_only),
-        tuple(accents),
+        accents,
     )
 
 
@@ -400,7 +383,7 @@ def _partition_linked_outer(
     With lift set, a core-right vertex with no inner-right neighbor first
     moves right its least inner-left neighbor that no core-left vertex needs.
     """
-    fb = spanning_forest_bipartition(g, core, require_no_isolated=True)
+    fb = spanning_forest_bipartition(g, core)
     core_left, core_right = set(fb.left), set(fb.right)
     inner_left: set[int] = set()
     inner_right: set[int] = set()
@@ -426,16 +409,12 @@ def _partition_linked_outer(
                     inner_left.remove(a)
                     inner_right.add(a)
                     break
-    seed_left = frozenset(inner_left)
     seed_right = frozenset(inner_right)
     for u in leftovers:
-        nb = g.adj_sets[u]
-        if nb & seed_right:
+        if g.adj_sets[u] & seed_right:
             inner_left.add(u)
-        elif nb & seed_left:
-            inner_right.add(u)
         else:
-            raise StructureViolation(f"inner vertex {u} sees neither seeded side")
+            inner_right.add(u)
     return _finish_partition(
         g, "linked-outer", layers.center, inner_left, inner_right, core_left,
         core_right, [u for u in layers.layer(2) if u not in core],
@@ -458,11 +437,7 @@ def _partition_contact(g: Graph, layers: BfsLayers) -> NeighborhoodPartition:
         for i, a in enumerate(nbrs):
             link_edges.extend((index[a], index[b]) for b in nbrs[i + 1 :])
     link = build_graph(len(ring1), link_edges)
-    if not is_connected(link):
-        raise StructureViolation("contact graph on the inner ring is disconnected")
-    fb = spanning_forest_bipartition(
-        link, range(link.n), require_no_isolated=link.n > 1
-    )
+    fb = spanning_forest_bipartition(link, range(link.n))
     return _finish_partition(
         g, "contact", layers.center, {ring1[i] for i in fb.left},
         {ring1[i] for i in fb.right}, set(), set(), layers.layer(2),
@@ -472,20 +447,19 @@ def _partition_contact(g: Graph, layers: BfsLayers) -> NeighborhoodPartition:
 def build_partition(
     g: Graph, center: int, *, lift: bool = False
 ) -> NeighborhoodPartition:
-    """The role partition of a 2-connected graph around one center.
+    """The role partition around one center of a 2-connected graph of
+    diameter at most 2; any other graph raises WrongCase.
 
     The outer ring chooses the style: linked-outer when it spans an edge,
-    contact when it is independent. Only linked-outer partitions lift; a
-    center of eccentricity above 2 raises WrongCase.
+    contact when it is independent. Only linked-outer partitions lift. The
+    result is what paint_partition takes.
     """
-    if not is_two_connected(g):
-        raise WrongCase("partitions need a 2-connected graph")
+    if not is_two_connected(g) or diameter(g) > 2:
+        raise WrongCase("this construction needs a 2-connected graph of diameter at most 2")
     return _build_partition(g, bfs_layers(g, center), lift)
 
 
 def _build_partition(g: Graph, layers: BfsLayers, lift: bool) -> NeighborhoodPartition:
-    if layers.eccentricity > 2:
-        raise WrongCase(f"center {layers.center} has eccentricity {layers.eccentricity}")
     ring2 = frozenset(layers.layer(2))
     core = {u for u in ring2 if g.adj_sets[u] & ring2}
     if core:
@@ -498,8 +472,8 @@ def _build_partition(g: Graph, layers: BfsLayers, lift: bool) -> NeighborhoodPar
 
 # Color by unordered role pair. Linked-outer style uses the full five-color
 # scheme; contact style needs only four plus accents. Role pairs absent from
-# the tables cannot occur in the advertised structure, so hitting one is a
-# structure violation, not bad input.
+# the tables do not occur in a partition from build_partition (see the module
+# docstring).
 
 _LINKED_TABLE = {
     (_C, _IL): 1,
@@ -529,9 +503,9 @@ _CONTACT_TABLE = {
 }
 
 
-def _role_map(g: Graph, part: NeighborhoodPartition) -> list[int | None]:
-    role: list[int | None] = [None] * g.n
-    role[part.center] = _C
+def _role_map(g: Graph, part: NeighborhoodPartition) -> list[int]:
+    # The groups cover every vertex but the center.
+    role = [_C] * g.n
     for group, code in (
         (part.inner_left, _IL),
         (part.inner_right, _IR),
@@ -548,9 +522,10 @@ def _role_map(g: Graph, part: NeighborhoodPartition) -> list[int | None]:
 def paint_partition(g: Graph, part: NeighborhoodPartition) -> EdgeColoring:
     """Assign colors to every edge from the role pair of its endpoints.
 
-    Edges from a left-only outer vertex all run into the left side; the one
-    designated accent edge gets color 5 and the rest get 4, which is what
-    distinguishes round trips through such a vertex.
+    part comes from build_partition on the same graph. Edges from a left-only
+    outer vertex all run into the left side; the one designated accent edge
+    gets color 5 and the rest get 4, which is what distinguishes round trips
+    through such a vertex.
     """
     role = _role_map(g, part)
     table = _LINKED_TABLE if part.style == "linked-outer" else _CONTACT_TABLE
@@ -559,20 +534,12 @@ def paint_partition(g: Graph, part: NeighborhoodPartition) -> EdgeColoring:
     for e in g.edges:
         a, b = e
         ra, rb = role[a], role[b]
-        if ra is None or rb is None:
-            raise StructureViolation(f"edge {e} touches a vertex with no role")
         key = (ra, rb) if ra <= rb else (rb, ra)
         if key == (_IL, _OLO):
             u = a if ra == _OLO else b
             mapping[e] = 5 if accents.get(u) == e else 4
-            continue
-        color = table.get(key)
-        if color is None:
-            raise StructureViolation(
-                f"edge {e} joins {_ROLE_NAMES[ra]} to {_ROLE_NAMES[rb]},"
-                " which the structure forbids"
-            )
-        mapping[e] = color
+        else:
+            mapping[e] = table[key]
     # The keys are edges of g, so normalized, and the tables hold colors 1..5.
     return EdgeColoring(mapping, max(mapping.values(), default=0))
 

@@ -15,10 +15,6 @@ class IndexOutOfRange(RainbowError):
     """A vertex index falls outside 0..n-1."""
 
 
-class IsolatedVertex(RainbowError):
-    """A vertex that was required to have a neighbor has none."""
-
-
 class ParseError(RainbowError):
     """A text input (edge list or coloring file) is malformed."""
 

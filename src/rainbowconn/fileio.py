@@ -22,14 +22,6 @@ from .graph import Edge, Graph, build_graph, normalize_edge
 MAX_VERTICES = 100_000
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
 def _int_fields(line: str, lineno: int, count: int) -> list[int]:
     fields = line.split()
     if len(fields) != count:
@@ -43,9 +35,9 @@ def _int_fields(line: str, lineno: int, count: int) -> list[int]:
 def parse_edge_list(text: str) -> Graph:
     declared: tuple[int, int] | None = None
     raw_edges: list[tuple[int, int]] = []
-    # One split per line does the work of _significant_lines and _int_fields:
-    # the fields are empty exactly when the stripped line is, and the first
-    # field starts with "#" or "p" exactly when the stripped line does.
+    # One split per line finds the significant lines and their fields: the
+    # fields are empty exactly when the stripped line is, and the first field
+    # starts with "#" or "p" exactly when the stripped line does.
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -101,8 +93,19 @@ def format_edge_list(g: Graph, header: Sequence[str] = ()) -> str:
 
 def parse_coloring(text: str) -> EdgeColoring:
     mapping: dict[Edge, int] = {}
-    for lineno, line in _significant_lines(text):
-        u, v, c = _int_fields(line, lineno, 3)
+    # The same one split per line as parse_edge_list, with no p line.
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if len(fields) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+        try:
+            u, v, c = int(fields[0]), int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: non-integer field in {raw.strip()!r}"
+            ) from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex index")
         if u == v:
@@ -113,7 +116,8 @@ def parse_coloring(text: str) -> EdgeColoring:
         if key in mapping:
             raise ParseError(f"line {lineno}: duplicate edge {key}")
         mapping[key] = c
-    return EdgeColoring.from_map(mapping)
+    # The keys are normalized edges and the colors positive ints already.
+    return EdgeColoring(mapping, max(mapping.values(), default=0))
 
 
 def format_coloring(coloring: EdgeColoring, header: Sequence[str] = ()) -> str:

@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable
 
-from .errors import IndexOutOfRange, InvalidEdge, IsolatedVertex
+from .errors import IndexOutOfRange, InvalidEdge
 
 Edge = tuple[int, int]
 
@@ -268,7 +268,7 @@ class ForestBipartition:
     """Spanning forest of an induced subgraph with its proper 2-coloring.
 
     Every forest edge joins left to right. Vertices isolated inside the
-    induced subgraph (when permitted) become singleton left-side trees.
+    induced subgraph become singleton left-side trees.
     """
 
     forest_edges: tuple[Edge, ...]
@@ -276,12 +276,7 @@ class ForestBipartition:
     right: frozenset[int]
 
 
-def spanning_forest_bipartition(
-    g: Graph,
-    subset: Iterable[int],
-    *,
-    require_no_isolated: bool = False,
-) -> ForestBipartition:
+def spanning_forest_bipartition(g: Graph, subset: Iterable[int]) -> ForestBipartition:
     """Depth first spanning forest of the subgraph induced on subset.
 
     Each component is rooted at its lowest index and explored in ascending
@@ -293,12 +288,7 @@ def spanning_forest_bipartition(
         if not (0 <= v < g.n):
             raise IndexOutOfRange(f"subset vertex {v} outside 0..{g.n - 1}")
     inside = set(chosen)
-    order: dict[int, list[int]] = {}
-    for v in chosen:
-        nbrs = [w for w in g.adj[v] if w in inside]
-        if require_no_isolated and not nbrs:
-            raise IsolatedVertex(f"vertex {v} has no neighbor inside the subset")
-        order[v] = nbrs
+    order = {v: [w for w in g.adj[v] if w in inside] for v in chosen}
     side: dict[int, int] = {}
     forest: list[Edge] = []
     for root in chosen:

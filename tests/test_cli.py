@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main(argv)."""
 
+import argparse
 import io
 import json
 
@@ -428,7 +429,17 @@ def test_fuzz_validate_mixed_scope(tmp_path, capsys):
     assert out["verified"] == 4
     assert out["out_of_scope"] == 4
     assert out["construction_failures"] == 0
-    assert out["verify_mismatches"] == 0
+    assert set(out) == {
+        "mode",
+        "count",
+        "generated",
+        "verified",
+        "out_of_scope",
+        "generation_failed",
+        "construction_failures",
+        "repairs_used",
+        "colors_used_histogram",
+    }
 
 
 def test_fuzz_validate_random(tmp_path, capsys):
@@ -439,7 +450,6 @@ def test_fuzz_validate_random(tmp_path, capsys):
     out = structured(capsys)["outcome"]
     assert out["generated"] + out["generation_failed"] == 12
     assert out["construction_failures"] == 0
-    assert out["verify_mismatches"] == 0
     hist = out["colors_used_histogram"]
     assert sum(hist.values()) == out["verified"]
     assert all(isinstance(k, str) for k in hist)
@@ -470,6 +480,52 @@ def test_fuzz_hunt_touches_findings_file(tmp_path, capsys):
 def test_fuzz_bad_mode_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "explode"])
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def test_subcommand_options():
+    # Each option string of each subcommand, with the attribute it sets:
+    # --format is the same everywhere, and color's --out names the coloring
+    # file where the other report commands' --out names the report file.
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {
+            opt: action.dest
+            for action in p._actions
+            for opt in action.option_strings
+            if action.dest != "help"
+        }
+        for name, p in sub.choices.items()
+    }
+    report = {"--format": "format", "--out": "report_out"}
+    assert options == {
+        "analyze": report,
+        "color": {
+            "--format": "format",
+            "--center": "center",
+            "--witnesses": "witnesses",
+            "--out": "out",
+        },
+        "verify": {**report, "--witnesses": "witnesses"},
+        "exact": {
+            **report,
+            "--budget": "budget",
+            "--max-colors": "max_colors",
+            "--max-edges-full": "max_edges_full",
+        },
+        "gen": {"--seed": "seed", "--out": "out"},
+        "fuzz": {
+            **report,
+            "--count": "count",
+            "--seed": "seed",
+            "--budget": "budget",
+            "--findings": "findings",
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

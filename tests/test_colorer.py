@@ -19,15 +19,13 @@ from rainbowconn import (
     IndexOutOfRange,
     NotDiameterAtMost2,
     OutOfScopeGraph,
+    RainbowError,
     TwoConnected,
     WrongCase,
     bridges,
     build_graph,
     classify,
-    color_bridged,
-    color_cutvertex_bridgeless,
     color_diam2,
-    color_two_connected,
     complete,
     complete_bipartite,
     cut_vertices,
@@ -44,6 +42,7 @@ from rainbowconn import (
 from rainbowconn import colorer
 from rainbowconn.colorer import build_partition, paint_partition
 from rainbowconn.errors import GenerationFailed
+from rainbowconn.graph import spanning_forest_bipartition
 
 
 def windmill(t: int):
@@ -211,7 +210,7 @@ def test_guarantee_values():
 
 def test_color_bridged_star():
     g = star(5)
-    out = color_bridged(g, classify(g))
+    out = color_diam2(g)
     assert out.certificate.connected
     assert out.colors_used == 5
     assert out.guarantee == 7
@@ -224,7 +223,7 @@ def test_color_bridged_star():
 @pytest.mark.parametrize("k,r", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 4)])
 def test_color_bridged_spends_full_budget(k, r):
     g = tight_example(k, r)
-    out = color_bridged(g, classify(g))
+    out = color_diam2(g)
     assert out.certificate.connected
     assert out.colors_used == k + 2
     assert out.guarantee == k + 2
@@ -232,16 +231,10 @@ def test_color_bridged_spends_full_budget(k, r):
     assert ok, pair
 
 
-def test_color_bridged_wrong_case():
-    cls = classify(star(3))
-    with pytest.raises(WrongCase):
-        color_bridged(star(4), cls)
-
-
 def test_color_cutvertex_bridgeless_windmills():
     for t in (2, 3, 4):
         g = windmill(t)
-        out = color_cutvertex_bridgeless(g, classify(g))
+        out = color_diam2(g)
         assert out.certificate.connected
         assert out.colors_used <= 3
         assert out.guarantee == 3
@@ -253,7 +246,7 @@ def test_color_cutvertex_bridgeless_blobs():
         g = apex_blobs(*sizes)
         cls = classify(g)
         assert isinstance(cls, BridgelessCutVertex)
-        out = color_cutvertex_bridgeless(g, cls)
+        out = color_diam2(g)
         assert out.certificate.connected
         assert out.colors_used <= 3
         ok, pair = naive_rainbow_connected(g, out.coloring)
@@ -262,15 +255,50 @@ def test_color_cutvertex_bridgeless_blobs():
 
 def test_color_cutvertex_internal_edges_share_one_color():
     g = windmill(3)
-    out = color_cutvertex_bridgeless(g, classify(g))
+    out = color_diam2(g)
     internal = {out.coloring.color(u, v) for u, v in g.edges if 0 not in (u, v)}
     assert internal == {1}
 
 
-def test_color_cutvertex_wrong_case():
-    cls = classify(windmill(2))
-    with pytest.raises(WrongCase):
-        color_cutvertex_bridgeless(windmill(3), cls)
+def max_k3_coloring(g, cls):
+    """The coloring behind rc <= max(k, 3) for a diameter-2 graph whose cut
+    vertex v carries k >= 0 bridges: the bridges take 1..k, v's edges into
+    the other components 1 or 2 by spanning-forest side, and the edges inside
+    those components 3."""
+    v = cls.cut_vertex
+    pendants = [c[0] for c in cls.components if len(c) == 1]
+    mapping = {(min(v, u), max(v, u)): i for i, u in enumerate(pendants, start=1)}
+    side = spanning_forest_bipartition(
+        g, [u for c in cls.components if len(c) > 1 for u in c]
+    )
+    for a, b in g.edges:
+        if (a, b) in mapping:
+            continue
+        if v in (a, b):
+            mapping[(a, b)] = 1 if a + b - v in side.left else 2
+        else:
+            mapping[(a, b)] = 3
+    return EdgeColoring.from_map(mapping)
+
+
+def test_cut_vertex_graphs_admit_max_k_3_colors():
+    # With k bridges the class admits max(k, 3) colors, below the paper's
+    # k + 2 budget for every k >= 2. Every vertex x off the cut vertex v has a
+    # forest neighbor z on the other side, so x-z-v-y joins two vertices on
+    # the same side, and p-v-z-x a pendant p whose bridge shares v-x's color.
+    nx = pytest.importorskip("networkx")
+    graphs = [tight_example(k, r) for k in range(1, 8) for r in range(2, 5)]
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        if isinstance(classify(g), (BridgedCutVertex, BridgelessCutVertex)):
+            graphs.append(g)
+    for g in graphs:
+        cls = classify(g)
+        k = getattr(cls, "bridge_count", 0)
+        coloring = max_k3_coloring(g, cls)
+        assert verify_rainbow_connected(g, coloring).connected, sorted(g.edges)
+        assert coloring.colors_used <= max(k, 3), sorted(g.edges)
+    assert len(graphs) == 86
 
 
 def test_color_diam2_classifies_a_cut_vertex_graph_once(monkeypatch):
@@ -410,7 +438,7 @@ def test_paint_center_edges_get_side_colors():
     ids=["c4", "c5", "petersen", "w5", "w8", "k23", "k34"],
 )
 def test_color_two_connected_within_budget(g):
-    out = color_two_connected(g)
+    out = color_diam2(g)
     assert out.certificate.connected
     assert out.colors_used <= 5
     assert out.guarantee == 5
@@ -418,32 +446,23 @@ def test_color_two_connected_within_budget(g):
     assert ok, pair
 
 
-def test_color_two_connected_rejects_other_cases():
-    with pytest.raises(WrongCase):
-        color_two_connected(star(4))
-    with pytest.raises(WrongCase):
-        color_two_connected(cycle(7))
-    with pytest.raises(IndexOutOfRange):
-        color_two_connected(petersen(), center=10)
-
-
 def test_color_two_connected_deterministic():
     g = petersen()
-    a = color_two_connected(g)
-    b = color_two_connected(g)
+    a = color_diam2(g)
+    b = color_diam2(g)
     assert a.coloring.as_sequence(g) == b.coloring.as_sequence(g)
     assert a.provenance == b.provenance
 
 
 def test_color_two_connected_center_choice_recorded():
-    out = color_two_connected(petersen(), center=3)
+    out = color_diam2(petersen(), center=3)
     assert out.provenance.center is not None
     assert out.certificate.connected
 
 
 def test_provenance_repair_flag_matches_attempts():
     for g in (cycle(4), petersen(), wheel(6)):
-        out = color_two_connected(g)
+        out = color_diam2(g)
         assert out.provenance.repair_used == (out.provenance.attempts > 1)
 
 
@@ -461,7 +480,7 @@ def test_two_connected_atlas_graphs_all_colored():
     # the base or lifted partition of the first center suffices.
     colored = 0
     for g in two_connected_atlas_graphs():
-        out = color_two_connected(g)
+        out = color_diam2(g)
         assert out.colors_used <= 5
         assert out.provenance.attempts <= 2
         assert out.provenance.forest_seed is None
@@ -513,7 +532,7 @@ def test_lifted_partition_rescues_two_connected_graphs():
     for n, seed in cases:
         g = cycle_completion(n, seed)
         assert isinstance(classify(g), TwoConnected)
-        out = color_two_connected(g)
+        out = color_diam2(g)
         assert out.provenance.variant == "lifted"
         assert out.provenance.forest_seed is None
         assert out.provenance.attempts <= 4
@@ -531,7 +550,7 @@ def test_one_bfs_per_center_in_the_two_connected_construction(monkeypatch):
 
     monkeypatch.setattr(colorer, "bfs_layers", counting)
     g = cycle_completion(33, 25)
-    out = color_two_connected(g)
+    out = color_diam2(g)
     # Base and lifted partitions at centers 0 and 1 share each center's BFS.
     assert out.provenance.attempts == 4
     assert out.provenance.center == 1
@@ -545,7 +564,7 @@ def test_two_connected_seeded_stress():
             res = random_diam2(5 + seed % 8, 0.5, seed, require_two_connected=True)
         except GenerationFailed:
             continue
-        out = color_two_connected(res.graph)
+        out = color_diam2(res.graph)
         assert out.certificate.connected
         assert out.colors_used <= 5
         colored += 1
@@ -611,6 +630,37 @@ def test_color_diam2_rejects_center_out_of_range():
         color_diam2(star(3), center=-1)
 
 
+def outcome_of(g, **kwargs):
+    """Everything color_diam2 returns for g, or the class of what it raises."""
+    try:
+        out = color_diam2(g, **kwargs)
+    except RainbowError as exc:
+        return type(exc)
+    return (
+        out.coloring.as_sequence(g),
+        out.colors_used,
+        out.guarantee,
+        out.classification,
+        out.provenance,
+    )
+
+
+def test_try_all_centers_is_the_default_center_order_on_atlas():
+    # try_all_centers=True gives the center order 0..n-1, which center=None
+    # already gives, so it only drops a requested center (here the last one).
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        if not h.number_of_nodes() or not nx.is_connected(h):
+            continue
+        g = build_graph(h.number_of_nodes(), h.edges())
+        want = outcome_of(g)
+        for c in (None, 0, g.n - 1):
+            assert outcome_of(g, center=c, try_all_centers=True) == want, sorted(h.edges())
+        checked += 1
+    assert checked == 996
+
+
 def test_color_diam2_never_exceeds_guarantee_random():
     checked = 0
     for seed in range(120):
@@ -644,7 +694,7 @@ def paint_all_ones(g, part):
 def test_construction_failure_when_fallback_finds_nothing(monkeypatch):
     monkeypatch.setattr("rainbowconn.colorer.paint_partition", paint_all_ones)
     with pytest.raises(ConstructionFailure) as info:
-        color_two_connected(petersen())
+        color_diam2(petersen())
     assert info.value.failing_pair == (0, 2)
     # The base partition at each of the 10 centers; Petersen's lifted
     # partitions equal the base ones, so none is painted twice.

@@ -18,7 +18,11 @@ import time
 from pathlib import Path
 
 from .colorer import (
+    BridgedCutVertex,
+    BridgelessCutVertex,
+    CompleteLike,
     Diam2Classification,
+    TwoConnected,
     _color_classified,
     classify,
     color_diam2,
@@ -80,14 +84,30 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _cut_facts(g: Graph, cls: Diam2Classification) -> tuple[int, list[int]]:
+    """Bridge count and cut vertices of g. A class in scope fixes both: the
+    cut vertex and its pendant bridges, or none except K2's one bridge; only
+    a graph outside the classes needs the lowlink scan."""
+    if isinstance(cls, BridgedCutVertex):
+        return cls.bridge_count, [cls.cut_vertex]
+    if isinstance(cls, BridgelessCutVertex):
+        return 0, [cls.cut_vertex]
+    if isinstance(cls, TwoConnected):
+        return 0, []
+    if isinstance(cls, CompleteLike):
+        return int(g.n == 2), []
+    return len(bridges(g)), list(cut_vertices(g))
+
+
 def _input_block(path: str, g: Graph, cls: Diam2Classification) -> dict:
+    bridge_count, cuts = _cut_facts(g, cls)
     block = {
         "path": path,
         "n": g.n,
         "m": g.m,
         "diameter": diameter(g),
-        "bridge_count": len(bridges(g)),
-        "cut_vertices": list(cut_vertices(g)),
+        "bridge_count": bridge_count,
+        "cut_vertices": cuts,
         "classification": cls.tag,
         "guarantee": guarantee_for(cls),
     }
@@ -98,10 +118,8 @@ def _input_block(path: str, g: Graph, cls: Diam2Classification) -> dict:
 
 
 def _witness_list(witnesses: dict) -> list[dict]:
-    return [
-        {"pair": list(pair), "path": list(path)}
-        for pair, path in sorted(witnesses.items())
-    ]
+    # The verifier yields the pairs in ascending order.
+    return [{"pair": [s, t], "path": list(p)} for (s, t), p in witnesses.items()]
 
 
 def _coloring_rows(coloring: EdgeColoring) -> list[list[int]]:

@@ -4,15 +4,24 @@ The structured format is plain JSON with sorted keys, so reports round-trip
 losslessly and repeated runs diff cleanly. Its bytes are exactly those of
 json.dumps(report, indent=2, sort_keys=True) plus a newline; every dict key
 must be a str. The text format is an indented key/value rendering of the
-same dict for reading in a terminal. Timing lives under the single key
-"elapsed_ms"; strip_timing removes every occurrence so determinism checks
-can compare the rest byte for byte.
+same dict for reading in a terminal.
+
+Integer tables, the bulk of a large report, render by column: a list of
+non-empty plain-int lists (coloring and witness rows) or of dicts that share
+one set of str keys, each value such a list ({"pair", "path"} witness rows).
+Each column is checked and laid out by C-level calls on its repr, so the
+bytes stay those of json.dumps; any other list renders item by item.
+
+Timing lives under the single key "elapsed_ms"; strip_timing removes every
+occurrence so determinism checks can compare the rest byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from typing import Any
 
 TIMING_KEY = "elapsed_ms"
@@ -71,8 +80,12 @@ def _encode(value: Any, nl: str, out: list[str]) -> None:
             return
         inner = nl + "  "
         # type() rather than isinstance, so bools take the general path.
-        if all(type(x) is int for x in value):
+        if set(map(type, value)) == {int}:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        table = _table(value, inner) if type(value) is list else None
+        if table is not None:
+            out.append("[" + inner + table + nl + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -82,6 +95,56 @@ def _encode(value: Any, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
     else:
         out.append(json.dumps(value))
+
+
+def _int_rows(rows: list, sep: str) -> str | None:
+    """The rows of a list of non-empty plain-int lists, each row's ints joined
+    by sep and the rows by "\0"; None for any other list."""
+    if (
+        set(map(type, rows)) != {list}
+        or not all(rows)
+        or set(map(type, chain.from_iterable(rows))) != {int}
+    ):
+        return None
+    # The repr holds only digits, "-", brackets and ", ".
+    return repr(rows)[2:-2].replace("], [", "\0").replace(", ", sep)
+
+
+def _table(rows: list, nl: str) -> str | None:
+    """The items of an integer table as indented JSON, joined by "," + nl,
+    where nl starts each item's line; None when rows is not such a table.
+
+    A table is a list of non-empty plain-int lists, or of dicts that share
+    one set of keys with every value such a list; dict rows are laid out
+    column by column through one format string. A key that is not a str
+    raises TypeError here too, from the sort or from the key encoder.
+    """
+    inner = nl + "  "
+    first = rows[0]
+    if type(first) is list:
+        body = _int_rows(rows, "," + inner)
+        if body is None:
+            return None
+        return "[" + inner + body.replace("\0", nl + "]," + nl + "[" + inner) + nl + "]"
+    if (
+        type(first) is not dict
+        or not first
+        or set(map(type, rows)) != {dict}
+        or not all(map(first.keys().__eq__, map(dict.keys, rows)))
+    ):
+        return None
+    keys = sorted(first)
+    cols = []
+    for key in keys:
+        col = _int_rows(list(map(itemgetter(key), rows)), "," + inner + "  ")
+        if col is None:
+            return None
+        cols.append(col.split("\0"))
+    fields = ("," + inner).join(
+        _encode_str(key).replace("%", "%%") + ": [" + inner + "  %s" + inner + "]"
+        for key in keys
+    )
+    return ("," + nl).join(map(("{" + inner + fields + nl + "}").__mod__, zip(*cols)))
 
 
 def parse_structured(text: str) -> dict[str, Any]:

@@ -24,6 +24,7 @@ from rainbowconn.cli import (
     main,
 )
 from rainbowconn.fileio import MAX_VERTICES, format_edge_list
+from rainbowconn.graph import bridges, cut_vertices
 from rainbowconn.generators import MAX_EDGES
 from rainbowconn.report import parse_structured
 
@@ -528,6 +529,32 @@ def test_subcommand_options():
     }
 
 
+def test_input_block_cut_facts_match_the_lowlink_scan():
+    # In scope, the class gives bridge_count and cut_vertices without a
+    # lowlink scan; K1, K2, a disconnected graph and a diameter-3 graph
+    # check the edges of the scope, and the atlas every small graph.
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        build_graph(1, []),
+        build_graph(2, [(0, 1)]),
+        build_graph(4, [(0, 1), (2, 3)]),
+        cycle(7),
+        star(4),
+        tight_example(2, 2),
+        petersen(),
+    ]
+    graphs += [build_graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    in_scope = 0
+    for g in graphs:
+        cls = colorer.classify(g)
+        in_scope += not isinstance(cls, colorer.NotDiameterAtMost2)
+        block = cli._input_block("g.txt", g, cls)
+        assert block["bridge_count"] == len(bridges(g)), g.edges
+        assert block["cut_vertices"] == list(cut_vertices(g)), g.edges
+    # The 451 diameter-2 atlas graphs, its 7 complete graphs and 5 named ones.
+    assert in_scope == 451 + 7 + 5
+
+
 # ---------------------------------------------------------------------------
 # structured report bytes
 
@@ -558,3 +585,18 @@ def test_structured_reports_are_json_dumps_bytes(tmp_path, capsys, spec):
         assert main([*argv, "--format", "structured"]) in (EXIT_OK, EXIT_BUDGET)
         out = capsys.readouterr().out
         assert out == json.dumps(parse_structured(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_witness_reports_at_n_40_are_json_dumps_bytes(tmp_path, capsys):
+    # Criterion 8's specs stop at 10 vertices; this report holds 780 witness
+    # rows and the coloring rows of a 40-vertex graph.
+    gpath = str(tmp_path / "g.txt")
+    cpath = str(tmp_path / "c.txt")
+    spec = ["random-diam2", "n=40", "p=0.4", "--seed", "7"]
+    assert main(["gen", *spec, "--out", gpath]) == EXIT_OK
+    for argv in (["color", gpath, "--witnesses", "--out", cpath], ["verify", gpath, cpath, "--witnesses"]):
+        assert main([*argv, "--format", "structured"]) == EXIT_OK
+        out = capsys.readouterr().out
+        rep = parse_structured(out)
+        assert len(rep["outcome"]["witnesses"]) == 40 * 39 // 2
+        assert out == json.dumps(rep, indent=2, sort_keys=True) + "\n"

@@ -276,6 +276,14 @@ def test_structural_facts_are_computed_once(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         assert len(scan_calls) == before + 1
 
+        # color and verify read the bridge and cut-vertex fields off the class.
+        colored = tmp_path / "c.txt"
+        before = len(scan_calls)
+        for argv in (["color", str(path), "--out", str(colored)], ["verify", str(path), str(colored)]):
+            assert cli.main([*argv, "--format", "structured"]) == cli.EXIT_OK
+            capsys.readouterr()
+        assert len(scan_calls) == before
+
     # Other graphs fall back to one all-sources BFS, run once.
     h = cycle(7)
     classify(h)

@@ -1,5 +1,6 @@
 """Report construction and the two render formats."""
 
+import enum
 import json
 import math
 
@@ -100,9 +101,80 @@ def test_render_json_matches_json_dumps_bytes(value):
     assert render_json(value) == json_dumps_reference(value)
 
 
+class Color(enum.IntEnum):
+    RED = 1
+
+
+INT_ROWS = st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=4)
+TABLE_KEYS = st.one_of(
+    st.sampled_from(["pair", "path", "%", "%s", "a%%d", "{0}", "{", "é", "\u2603", 'q"\\']),
+    st.text(max_size=3),
+)
+# Cells and rows that leave the table path for the per-item one.
+ODD_CELLS = st.one_of(
+    st.just([]),
+    st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=3),
+    st.just([1, True]),
+    INT_ROWS.map(tuple),
+    st.just([Color.RED, 2]),
+    st.just([[1, 2]]),
+    st.just([1.5]),
+    st.integers(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@st.composite
+def int_tables(draw):
+    """A list of int lists or of same-key dicts of int lists, sometimes with
+    one row or cell changed so that it is no longer a table, sometimes inside
+    a dict or list so that it starts at a deeper indent."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(INT_ROWS, min_size=1, max_size=6))
+    else:
+        keys = draw(st.lists(TABLE_KEYS, min_size=1, max_size=3, unique=True))
+        rows = draw(
+            st.lists(st.fixed_dictionaries({k: INT_ROWS for k in keys}), min_size=1, max_size=6)
+        )
+    change = draw(st.sampled_from(["none", "none", "row", "cell", "key", "tuple"]))
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    if change == "row":
+        rows[i] = draw(ODD_CELLS | st.just({}) | st.just(Color.RED))
+    elif change == "cell" and isinstance(rows[i], dict):
+        rows[i][draw(st.sampled_from(sorted(rows[i])))] = draw(ODD_CELLS)
+    elif change == "cell":
+        rows[i] = [*rows[i], draw(st.one_of(st.booleans(), st.just(Color.RED), st.floats()))]
+    elif change == "key" and isinstance(rows[i], dict):
+        rows[i][draw(TABLE_KEYS)] = draw(INT_ROWS)
+        if draw(st.booleans()):
+            del rows[i][sorted(rows[i])[0]]
+    elif change == "tuple":
+        rows = tuple(rows)
+    for key in draw(st.lists(st.one_of(TABLE_KEYS, st.none()), max_size=2)):
+        rows = [rows] if key is None else {key: rows}
+    return rows
+
+
+@settings(max_examples=300)
+@given(int_tables())
+@example([[0, 1, 2], [1, -2, 3]])
+@example({"w": [{"pair": [0, 1], "path": [0, 1]}, {"pair": [0, 2], "path": [0, 3, 2]}]})
+@example([{"%s": [1], "{é}": [2, 3]}])
+@example([[1], [True]])
+@example([[1], []])
+@example([{"a": [1]}, {"b": [1]}])
+@example([{"a": [1]}, {"a": 1}])
+@example([{"a": [1]}, {"a": (1,)}])
+@example([[Color.RED], [1]])
+@example(([1, 2], [3]))
+def test_render_json_int_tables_match_json_dumps_bytes(value):
+    assert render_json(value) == json_dumps_reference(value)
+
+
 def test_render_json_rejects_non_str_keys():
     # json.dumps would coerce these keys to strings; reports use str keys only.
-    for value in ({1: "a"}, {"outer": {None: 1}}, [{2.5: []}], {True: 1}):
+    for value in ({1: "a"}, {"outer": {None: 1}}, [{2.5: []}], {True: 1}, [{1: [1]}], [{None: [1]}]):
         json_dumps_reference(value)
         with pytest.raises(TypeError):
             render_json(value)

@@ -10,7 +10,8 @@ import oracles
 from rainbowconn import verify
 from rainbowconn.coloring import EdgeColoring
 from rainbowconn.errors import CapExceeded, ColoringMismatch, IndexOutOfRange
-from rainbowconn.generators import complete, cycle, petersen, star
+from rainbowconn.colorer import _color_classified, classify
+from rainbowconn.generators import complete, cycle, petersen, random_diam2, star, tight_example
 from rainbowconn.graph import build_graph
 from rainbowconn.verify import (
     DEFAULT_COLOR_CAP,
@@ -28,6 +29,25 @@ def test_c4_alternating_is_rainbow_connected():
     assert cert.failing_pair is None
     for (u, v), path in cert.witnesses.items():
         assert check_witness(g, EdgeColoring.from_sequence(g, [1, 2, 2, 1]), u, v, path)
+
+
+def test_witnesses_come_in_ascending_pair_order():
+    # Reports list the witnesses in the certificate's key order unsorted, so
+    # both kernels and the certificate color --witnesses uses must yield
+    # every pair (s, t), s < t, in ascending order.
+    def all_pairs(g):
+        return [(s, t) for s in range(g.n) for t in range(s + 1, g.n)]
+
+    g = cycle(4)
+    repeated = verify_rainbow_connected(g, EdgeColoring.from_sequence(g, [1, 2, 2, 1]))
+    assert list(repeated.witnesses) == all_pairs(g)
+    for g in (petersen(), random_diam2(14, 0.4, "ascending/0").graph):
+        distinct = verify_rainbow_connected(g, EdgeColoring.from_sequence(g, range(1, g.m + 1)))
+        assert list(distinct.witnesses) == all_pairs(g)
+    for g in (petersen(), tight_example(2, 2), random_diam2(14, 0.4, "ascending/0").graph):
+        outcome = _color_classified(g, classify(g), want_witnesses=True)
+        assert outcome.colors_used < g.m
+        assert list(outcome.certificate.witnesses) == all_pairs(g)
 
 
 def test_c4_all_one_fails_on_least_pair():

@@ -1,17 +1,22 @@
-"""Exact rainbow connection number by a pruned depth-first search.
+"""Exact rainbow connection number by a depth-first search with forward checking.
 
 Levels run from a structural lower bound upward; the first level with a
 rainbow coloring pins the answer. A rainbow path with at most l colors has at
 most l edges, so level l first lists, for every vertex pair, its simple paths
-of at most l edges as tuples of edge indices. A depth-first search then colors
-the edges in g.edges order, each with a color at most one above the largest
-so far and at most l. That visits one coloring per renaming class; colorings
+of at most l edges as tuples of edge indices. Adjacent pairs are then
+dropped, since their edge is a rainbow path. A depth-first search colors the
+edges in g.edges order, each with a color at most one above the largest so
+far and at most l. That visits one coloring per renaming class; colorings
 with fewer than l colors are harmless, since the lower levels are refuted.
-Each pair is checked once the last edge of its listed paths is colored, and
-the branch is cut when none of those paths is rainbow. Colors are tried in
+The search checks forward: a listed path dies once two of its colored edges
+share a color, and the branch is cut as soon as some pair has no live path.
+Only subtrees without a rainbow coloring are cut and colors are tried in
 ascending order, so the first coloring found is the lexicographically least
 canonical one. The search is iterative, so no edge count hits the recursion
 limit, and the verifier re-checks a found coloring before it is returned.
+
+A search step is one listed path or one search node (one color tried on one
+edge); the budget bounds their sum.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .coloring import EdgeColoring
+from .colorer import BridgedCutVertex, classify, color_diam2
 from .errors import OutOfScopeGraph, StructureViolation
-from .graph import Graph, bridges, cut_vertices, diameter, is_connected
+from .graph import Graph, diameter
 from .verify import verify_rainbow_connected
 
 # How often the optional progress callback fires, in search steps.
@@ -40,8 +46,9 @@ class RcResult:
 
     exact is None when the search stopped early; lower <= upper always, and
     witness (when present) is a verified coloring using upper colors or
-    fewer. colorings_tested counts the search steps spent, listed paths plus
-    search nodes, which is what the budget bounds.
+    fewer. colorings_tested counts the search steps spent, which is what the
+    budget bounds: one per listed path and one per search node, a color
+    tried on an edge. Forward checking cuts nodes, not listed paths.
     """
 
     lower: int
@@ -59,26 +66,26 @@ class RcResult:
 def rc_lower_bound(g: Graph) -> int:
     """Cheap structural lower bound for the rainbow connection number.
 
-    The diameter always bounds from below. When the diameter is at most 2 and
-    the graph has a cut vertex, every bridge hangs a pendant off that vertex
-    and any two pendant-to-pendant paths force distinct bridge colors, so the
-    bridge count bounds from below as well.
+    The diameter always bounds from below. A diameter-2 graph with bridges
+    has one universal cut vertex with a pendant on each bridge (see
+    classify), and the only path between two pendants is their two bridges,
+    so the bridges need distinct colors and their count bounds from below.
     """
-    if not is_connected(g):
-        raise OutOfScopeGraph("lower bound needs a connected graph")
     if g.n <= 1:
         return 0
-    if g.is_complete():
-        return 1
     d = diameter(g)
-    assert d is not None
-    if d <= 2 and cut_vertices(g):
-        return max(d, len(bridges(g)))
+    if d is None:
+        raise OutOfScopeGraph("lower bound needs a connected graph")
+    cls = classify(g)
+    if isinstance(cls, BridgedCutVertex):
+        return max(2, cls.bridge_count)
     return d
 
 
 class _Steps:
-    """Listed paths plus search nodes, counted against the budget."""
+    """Search steps counted against the budget: one per listed path and one
+    per search node, so the budget keeps its meaning however many nodes
+    forward checking cuts."""
 
     def __init__(self, budget: int, progress: Callable[[int], None] | None):
         self.count = 0
@@ -95,16 +102,16 @@ class _Steps:
         return True
 
 
-def _checks_by_depth(g: Graph, level: int, steps: _Steps) -> list[list[list]] | None:
-    """For each edge index d, the path lists of the pairs checked at depth d.
+def _listed_paths(g: Graph, level: int, steps: _Steps) -> list[list[tuple[int, ...]]] | None:
+    """The simple paths of at most level edges of each non-adjacent pair.
 
-    A pair's list holds its simple paths of at most level edges, as tuples of
-    edge indices, and the pair is checked at the largest index among them. A
-    pair without such a path gets an empty list at depth 0, which refutes the
-    level there. None when the budget runs out while listing.
+    Paths are tuples of edge indices. Every path listed costs one step, those
+    of adjacent pairs too, although an adjacent pair is dropped afterwards:
+    its edge is already a rainbow path. None when the budget runs out while
+    listing.
     """
     edge_id = {e: i for i, e in enumerate(g.edges)}
-    checks: list[list[list]] = [[] for _ in range(g.m)]
+    listed: list[list[tuple[int, ...]]] = []
     for s in range(g.n):
         paths: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(s + 1, g.n)}
         stack = [(s, (), 1 << s)]
@@ -120,21 +127,55 @@ def _checks_by_depth(g: Graph, level: int, steps: _Steps) -> list[list[list]] | 
                     paths[w].append(p)
                 if len(p) < level:
                     stack.append((w, p, seen | 1 << w))
-        for listed in paths.values():
-            checks[max(map(max, listed), default=0)].append(listed)
-    return checks
+        near = g.adj_sets[s]
+        listed.extend(ps for t, ps in paths.items() if t not in near)
+    return listed
 
 
 def _search_level(g: Graph, level: int, steps: _Steps) -> tuple[list[int] | None, bool]:
-    """Search one level; returns (winning colors or None, budget hit)."""
-    checks = _checks_by_depth(g, level, steps)
-    if checks is None:
+    """Search one level by forward checking; returns (winning colors or None,
+    budget hit).
+
+    Each listed path carries the mask of the colors on its colored edges, and
+    each pair the count of its live paths, those with no repeated color yet.
+    Coloring edge d with c kills every live path through d whose mask holds
+    c and adds c to the masks of the others; a dead path stores its mask
+    complemented, so it reads negative. The branch is cut as soon as a pair
+    has no live path left. undo[d] logs the paths the color at depth d grew
+    or killed, and is undone before the next color and on backtrack; a path
+    is logged at most once per depth, so the order of undoing is free.
+    """
+    listed = _listed_paths(g, level, steps)
+    if listed is None:
         return None, True
+    # A non-adjacent pair without a path of at most level edges refutes the
+    # level before any node is visited.
+    if not all(listed):
+        return None, False
+    pair_of: list[int] = []
+    through: list[list[int]] = [[] for _ in range(g.m)]
+    for q, paths in enumerate(listed):
+        for path in paths:
+            for e in path:
+                through[e].append(len(pair_of))
+            pair_of.append(q)
+    mask = [0] * len(pair_of)
+    live = list(map(len, listed))
     colors = [0] * g.m
     # top[d] is the largest color among edges 0..d-1.
     top = [0] * (g.m + 1)
+    undo: list[tuple[int, list[int], list[int]] | None] = [None] * g.m
     d = 0
     while d >= 0:
+        log = undo[d]
+        if log is not None:
+            bit, grown, killed = log
+            for p in grown:
+                mask[p] ^= bit
+            for p in killed:
+                mask[p] = ~mask[p]
+                live[pair_of[p]] += 1
+            undo[d] = None
         c = colors[d] + 1
         if c > top[d] + 1 or c > level:
             colors[d] = 0
@@ -143,10 +184,25 @@ def _search_level(g: Graph, level: int, steps: _Steps) -> tuple[list[int] | None
         if not steps.take():
             return None, True
         colors[d] = c
-        if all(
-            any(len({colors[e] for e in p}) == len(p) for p in listed)
-            for listed in checks[d]
-        ):
+        bit = 1 << c
+        grown, killed = [], []
+        undo[d] = (bit, grown, killed)
+        for p in through[d]:
+            mk = mask[p]
+            if mk < 0:
+                continue
+            if mk & bit:
+                mask[p] = ~mk
+                killed.append(p)
+                q = pair_of[p]
+                live[q] -= 1
+                if not live[q]:
+                    break
+            else:
+                mask[p] = mk | bit
+                grown.append(p)
+        else:
+            # Every pair kept a live path: descend.
             top[d + 1] = max(top[d], c)
             d += 1
             if d == g.m:
@@ -157,8 +213,6 @@ def _search_level(g: Graph, level: int, steps: _Steps) -> tuple[list[int] | None
 def _upper_bound_coloring(g: Graph) -> tuple[int, EdgeColoring]:
     d = diameter(g)
     if d is not None and d <= 2:
-        from .colorer import color_diam2
-
         outcome = color_diam2(g)
         return outcome.colors_used, outcome.coloring
     return g.m, EdgeColoring.from_sequence(g, range(1, g.m + 1))
@@ -180,10 +234,10 @@ def exact_rc(
     upper bound comes from a verified coloring. progress, when given,
     receives the step count every PROGRESS_INTERVAL steps.
     """
-    if not is_connected(g):
-        raise OutOfScopeGraph("exact search needs a connected graph")
     if g.n <= 1:
         return RcResult(0, 0, 0, 0, False, EdgeColoring.from_map({}))
+    if diameter(g) is None:
+        raise OutOfScopeGraph("exact search needs a connected graph")
     steps = _Steps(budget, progress)
     level = rc_lower_bound(g)
     exhausted = False

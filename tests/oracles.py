@@ -141,6 +141,57 @@ def oracle_rc(g: Graph):
     raise AssertionError("a connected graph is rainbow connected with m colors")
 
 
+def dfs_rc(g: Graph, level: int):
+    """First rainbow connecting canonical string with at most level colors,
+    or None: the pruned depth-first search that preceded forward checking.
+
+    Each pair's simple paths of at most level edges are listed as tuples of
+    edge indices, and the pair is checked only once the largest index on
+    them is colored; the branch is cut when none of its paths is rainbow. A
+    pair without such a path is checked at edge 0. Colors go in g.edges
+    order, ascending, each at most one above the running maximum.
+    """
+    if g.m == 0:
+        return ()
+    edge_id = {e: i for i, e in enumerate(g.edges)}
+    checks = [[] for _ in range(g.m)]
+    for s in range(g.n):
+        paths = {t: [] for t in range(s + 1, g.n)}
+        stack = [(s, (), 1 << s)]
+        while stack:
+            v, path, seen = stack.pop()
+            for w in g.adj[v]:
+                if seen >> w & 1:
+                    continue
+                p = path + (edge_id[(v, w) if v < w else (w, v)],)
+                if w > s:
+                    paths[w].append(p)
+                if len(p) < level:
+                    stack.append((w, p, seen | 1 << w))
+        for listed in paths.values():
+            checks[max(map(max, listed), default=0)].append(listed)
+    colors = [0] * g.m
+    # top[d] is the largest color among edges 0..d-1.
+    top = [0] * (g.m + 1)
+    d = 0
+    while d >= 0:
+        c = colors[d] + 1
+        if c > top[d] + 1 or c > level:
+            colors[d] = 0
+            d -= 1
+            continue
+        colors[d] = c
+        if all(
+            any(len({colors[e] for e in p}) == len(p) for p in listed)
+            for listed in checks[d]
+        ):
+            top[d + 1] = max(top[d], c)
+            d += 1
+            if d == g.m:
+                return tuple(colors)
+    return None
+
+
 def prufer_tree(seq: tuple[int, ...]):
     """Decode a sequence over 0..n-1 into the edges of a labeled tree."""
     n = len(seq) + 2

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
 from rainbowconn import exact
+from rainbowconn.colorer import BridgedCutVertex, classify
 from rainbowconn.errors import OutOfScopeGraph
 from rainbowconn.exact import exact_rc, rc_lower_bound
 from rainbowconn.generators import (
@@ -12,10 +14,11 @@ from rainbowconn.generators import (
     complete_bipartite,
     cycle,
     petersen,
+    random_diam2,
     star,
     tight_example,
 )
-from rainbowconn.graph import build_graph
+from rainbowconn.graph import build_graph, diameter
 from rainbowconn.verify import verify_rainbow_connected
 
 
@@ -136,11 +139,12 @@ def test_witness_verdicts_match_naive_oracle():
 
 
 def test_petersen_candidate_count_is_pinned():
-    # Listed paths (45 at level 2, 105 at level 3) plus search nodes; the
-    # node count depends on the edge order and on where each pair is checked.
+    # Listed paths (45 at level 2, 105 at level 3) plus 31 search nodes; the
+    # node count depends on the edge order and on how early forward checking
+    # cuts a branch.
     res = exact_rc(petersen(), budget=10**8)
     assert res.exact == 3
-    assert res.colorings_tested == 291
+    assert res.colorings_tested == 181
 
 
 def _same_as_oracle(g):
@@ -170,6 +174,73 @@ def test_exact_rc_matches_enumeration_oracle_on_random_graphs():
         extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
         edges += extra[: 8 - len(edges)]
         _same_as_oracle(build_graph(n, edges))
+
+
+def _same_as_dfs(g):
+    # A refutation rests on the search alone, so the value is checked
+    # against the pruned DFS that preceded forward checking: it finds no
+    # coloring one level down and the same first coloring at the level.
+    res = exact_rc(g, budget=10**8, max_edges_full=g.m)
+    assert res.is_exact, sorted(g.edges)
+    if res.exact:
+        assert oracles.dfs_rc(g, res.exact - 1) is None, sorted(g.edges)
+    assert oracles.dfs_rc(g, res.exact) == res.witness.as_sequence(g), sorted(g.edges)
+
+
+def test_exact_rc_matches_dfs_reference_on_atlas():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 0 or h.number_of_edges() > 12 or not nx.is_connected(h):
+            continue
+        _same_as_dfs(build_graph(h.number_of_nodes(), h.edges()))
+        checked += 1
+    assert checked == 753
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_exact_rc_matches_dfs_reference_on_random_graphs(n):
+    for i in range(6):
+        _same_as_dfs(random_diam2(n, 0.4, f"exact-vs-dfs/{n}/{i}").graph)
+
+
+def test_rc_census_of_diameter_2_atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    census = Counter()
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 0 or not nx.is_connected(h):
+            continue
+        g = build_graph(h.number_of_nodes(), h.edges())
+        if diameter(g) != 2:
+            continue
+        cls = classify(g)
+        k = cls.bridge_count if isinstance(cls, BridgedCutVertex) else 0
+        census[cls.tag, k, exact_rc(g, budget=10**8, max_edges_full=g.m).exact] += 1
+    assert census == {
+        ("two-connected", 0, 2): 351,
+        ("two-connected", 0, 3): 35,
+        ("bridgeless-cut-vertex", 0, 2): 10,
+        ("bridgeless-cut-vertex", 0, 3): 3,
+        ("bridged-cut-vertex", 1, 2): 19,
+        ("bridged-cut-vertex", 1, 3): 14,
+        ("bridged-cut-vertex", 2, 2): 1,
+        ("bridged-cut-vertex", 2, 3): 10,
+        ("bridged-cut-vertex", 3, 3): 4,
+        ("bridged-cut-vertex", 4, 4): 2,
+        ("bridged-cut-vertex", 5, 5): 1,
+        ("bridged-cut-vertex", 6, 6): 1,
+    }
+
+
+def test_reach_14_0_resolves_within_the_budget():
+    # m = 36: forward checking refutes level 2 and finds rc 3 in about
+    # 230k steps, where the per-pair check at the last path edge ran out of
+    # 20M steps with bounds [3, 4].
+    g = random_diam2(14, 0.35, "reach/14/0", require_two_connected=True).graph
+    res = exact_rc(g, budget=1_000_000, max_edges_full=36)
+    assert not res.budget_exhausted
+    assert res.exact == 3
+    assert verify_rainbow_connected(g, res.witness).connected
 
 
 def test_exact_9_1_resolves():

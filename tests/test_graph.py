@@ -284,6 +284,12 @@ def test_structural_facts_are_computed_once(monkeypatch, tmp_path, capsys):
             capsys.readouterr()
         assert len(scan_calls) == before
 
+        # exact takes connectivity from the diameter and the bridge bound
+        # from the class.
+        assert cli.main(["exact", str(path), "--format", "structured"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(scan_calls) == before
+
     # Other graphs fall back to one all-sources BFS, run once.
     h = cycle(7)
     classify(h)

@@ -13,6 +13,7 @@ emits an edge list directly. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -460,6 +461,8 @@ def cmd_fuzz(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a fresh parser for the six subcommands on every call, so a
+    caller may inspect or change it without affecting main."""
     parser = argparse.ArgumentParser(
         prog="rainbowconn",
         description="Rainbow connectivity toolkit for diameter-2 graphs.",
@@ -550,9 +553,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main call rather than at import. Reuse is safe:
+    # parse_args returns a fresh Namespace, and the stored defaults are
+    # immutables and the cmd_* functions.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code. May be called repeatedly
+    in-process: every call reuses one parser, built on the first call."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GenerationFailed as exc:

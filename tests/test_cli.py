@@ -25,7 +25,7 @@ from rainbowconn.cli import (
 )
 from rainbowconn.fileio import MAX_VERTICES, format_edge_list
 from rainbowconn.graph import bridges, cut_vertices
-from rainbowconn.generators import MAX_EDGES
+from rainbowconn.generators import MAX_EDGES, GenSpec
 from rainbowconn.report import parse_structured
 
 
@@ -279,6 +279,43 @@ def test_exact_max_edges_cutoff_exit3(tmp_path, capsys):
     assert out["upper"] >= out["lower"]
 
 
+def _random_instance(n, p, index):
+    return GenSpec(
+        "random-diam2", {"n": n, "p": p, "seed": f"exact/{n}/{index}", "bridgeless": True}
+    )
+
+
+# The exact-search benchmark instances: name -> (spec, exact rc, search steps).
+# That workload times the search, so its step counts are pinned here.
+EXACT_SEARCH_INSTANCES = {
+    "petersen": (GenSpec("petersen"), 3, 181),
+    "cycle-7": (GenSpec("cycle", {"n": 7}), 4, 153),
+    "tight-1-2": (GenSpec("tight", {"k": 1, "r": 2}), 3, 74),
+    "tight-2-2": (GenSpec("tight", {"k": 2, "r": 2}), 3, 90),
+    "tight-2-3": (GenSpec("tight", {"k": 2, "r": 3}), 3, 152),
+    "tight-3-3": (GenSpec("tight", {"k": 3, "r": 3}), 3, 120),
+    "tight-1-4": (GenSpec("tight", {"k": 1, "r": 4}), 3, 202),
+    "random-9-0": (_random_instance(9, 0.5, 0), 2, 146),
+    "random-9-3": (_random_instance(9, 0.5, 3), 2, 469),
+    "random-10-2": (_random_instance(10, 0.45, 2), 2, 161),
+    "random-9-1": (_random_instance(9, 0.5, 1), 2, 134),
+}
+
+
+def test_exact_search_instance_steps_total():
+    assert sum(steps for _, _, steps in EXACT_SEARCH_INSTANCES.values()) == 1882
+
+
+@pytest.mark.parametrize("name", EXACT_SEARCH_INSTANCES)
+def test_exact_search_instance_table(tmp_path, capsys, name):
+    spec, rc, steps = EXACT_SEARCH_INSTANCES[name]
+    path = write_graph(tmp_path, spec.build().graph)
+    argv = ["exact", path, "--budget", "100000", "--max-edges-full", "25"]
+    assert main([*argv, "--format", "structured"]) == EXIT_OK
+    out = structured(capsys)["outcome"]
+    assert (out["exact"], out["colorings_tested"]) == (rc, steps)
+
+
 def test_exact_disconnected_exit2(tmp_path):
     path = write_graph(tmp_path, build_graph(4, [(0, 1), (2, 3)]))
     assert main(["exact", path]) == EXIT_INPUT
@@ -527,6 +564,45 @@ def test_subcommand_options():
             "--findings": "findings",
         },
     }
+
+
+def test_main_builds_its_parser_once_and_leaks_no_option(tmp_path, capsys, monkeypatch):
+    real = cli.build_parser
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        gpath = str(tmp_path / "p.txt")
+        cpath = str(tmp_path / "c.txt")
+        assert main(["gen", "petersen", "--out", gpath]) == EXIT_OK
+        assert main(["analyze", gpath]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["color", gpath, "--center", "2", "--format", "structured"]) == EXIT_OK
+        assert structured(capsys)["outcome"]["provenance"]["center"] == 2
+        assert main(["color", gpath, "--out", cpath, "--format", "structured"]) == EXIT_OK
+        assert structured(capsys)["outcome"]["provenance"]["center"] == 0
+        assert main(["verify", gpath, cpath, "--witnesses", "--format", "structured"]) == EXIT_OK
+        assert "witnesses" in structured(capsys)["outcome"]
+        assert main(["verify", gpath, cpath, "--format", "structured"]) == EXIT_OK
+        assert "witnesses" not in structured(capsys)["outcome"]
+        assert main(["exact", gpath, "--budget", "5"]) == EXIT_BUDGET
+        assert main(["exact", gpath]) == EXIT_OK
+        with pytest.raises(SystemExit) as rejected:
+            main(["color", gpath, "--center", "two"])
+        assert rejected.value.code == 2
+        assert main(["fuzz", "validate", "--count", "2"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["color", gpath, "--format", "structured"]) == EXIT_OK
+        assert structured(capsys)["outcome"]["provenance"]["center"] == 0
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_input_block_cut_facts_match_the_lowlink_scan():

@@ -13,6 +13,7 @@ emits an edge list directly. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -24,7 +25,6 @@ from .colorer import (
     CompleteLike,
     Diam2Classification,
     TwoConnected,
-    _color_classified,
     classify,
     color_diam2,
     guarantee_for,
@@ -127,8 +127,13 @@ def _coloring_rows(coloring: EdgeColoring) -> list[list[int]]:
     return [[u, v, c] for (u, v), c in coloring.items()]
 
 
-def _emit(report: dict, args) -> None:
-    _write_text(render_report(report, args.format), getattr(args, "report_out", None))
+def _report(args, t0: float, command: str, block: dict, outcome: dict, code: int, **extra) -> int:
+    """Render and write one command's report, timed from t0; return code."""
+    rep = make_report(
+        command, block, outcome, elapsed_ms=(time.perf_counter() - t0) * 1000, **extra
+    )
+    _write_text(render_report(rep, args.format), getattr(args, "report_out", None))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +154,14 @@ def cmd_analyze(args) -> int:
         outcome["note"] = (
             "strongly regular with mu >= 1: diameter 2, five colors always suffice"
         )
-    rep = make_report(
-        "analyze", block, outcome, elapsed_ms=(time.perf_counter() - t0) * 1000
-    )
-    _emit(rep, args)
-    return EXIT_OK
+    return _report(args, t0, "analyze", block, outcome, EXIT_OK)
 
 
 def cmd_color(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph(args.graph)
-    cls = classify(g)
-    block = _input_block(args.graph, g, cls)
     try:
-        result = _color_classified(
-            g, cls, center=args.center, want_witnesses=args.witnesses
-        )
+        result = color_diam2(g, center=args.center, want_witnesses=args.witnesses)
     except ConstructionFailure as exc:
         outcome = {
             "verified": False,
@@ -172,44 +169,30 @@ def cmd_color(args) -> int:
             "failing_pair": list(exc.failing_pair) if exc.failing_pair else None,
             "attempts": exc.attempts,
         }
-        rep = make_report(
-            "color", block, outcome, elapsed_ms=(time.perf_counter() - t0) * 1000
-        )
-        _emit(rep, args)
-        return EXIT_FAILED
-    prov = result.provenance
+        block = _input_block(args.graph, g, classify(g))
+        return _report(args, t0, "color", block, outcome, EXIT_FAILED)
     outcome = {
         "verified": True,
         "colors_used": result.colors_used,
         "guarantee": result.guarantee,
         "classification": result.classification.tag,
-        "provenance": {
-            "style": prov.style,
-            "center": prov.center,
-            "forest_seed": prov.forest_seed,
-            "variant": prov.variant,
-            "attempts": prov.attempts,
-            "repair_used": prov.repair_used,
-        },
+        "provenance": dataclasses.asdict(result.provenance),
         "coloring": _coloring_rows(result.coloring),
     }
     if args.witnesses:
         outcome["witnesses"] = _witness_list(result.certificate.witnesses)
-    text = format_coloring(
-        result.coloring,
-        header=[
-            f"rainbow coloring of {args.graph}",
-            f"colors_used {result.colors_used} guarantee {result.guarantee}",
-        ],
-    )
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        text = format_coloring(
+            result.coloring,
+            header=[
+                f"rainbow coloring of {args.graph}",
+                f"colors_used {result.colors_used} guarantee {result.guarantee}",
+            ],
+        )
+        _write_text(text, args.out)
         outcome["coloring_file"] = args.out
-    rep = make_report(
-        "color", block, outcome, elapsed_ms=(time.perf_counter() - t0) * 1000
-    )
-    _emit(rep, args)
-    return EXIT_OK
+    block = _input_block(args.graph, g, result.classification)
+    return _report(args, t0, "color", block, outcome, EXIT_OK)
 
 
 def cmd_verify(args) -> int:
@@ -224,14 +207,10 @@ def cmd_verify(args) -> int:
     }
     if args.witnesses and cert.witnesses is not None:
         outcome["witnesses"] = _witness_list(cert.witnesses)
-    rep = make_report(
-        "verify",
-        _input_block(args.graph, g, classify(g)),
-        outcome,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    block = _input_block(args.graph, g, classify(g))
+    return _report(
+        args, t0, "verify", block, outcome, EXIT_OK if cert.connected else EXIT_FAILED
     )
-    _emit(rep, args)
-    return EXIT_OK if cert.connected else EXIT_FAILED
 
 
 def cmd_exact(args) -> int:
@@ -253,14 +232,10 @@ def cmd_exact(args) -> int:
     }
     if result.witness is not None:
         outcome["witness"] = _coloring_rows(result.witness)
-    rep = make_report(
-        "exact",
-        _input_block(args.graph, g, classify(g)),
-        outcome,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    block = _input_block(args.graph, g, classify(g))
+    return _report(
+        args, t0, "exact", block, outcome, EXIT_OK if result.is_exact else EXIT_BUDGET
     )
-    _emit(rep, args)
-    return EXIT_OK if result.is_exact else EXIT_BUDGET
 
 
 def _parse_param_value(text: str):
@@ -367,7 +342,7 @@ def _fuzz_validate(args, base_params: dict) -> tuple[dict, int]:
             )
             continue
         tallies["verified"] += 1
-        if result.provenance.repair_used:
+        if result.provenance.attempts > 1:
             tallies["repairs_used"] += 1
         key = str(result.colors_used)
         histogram[key] = histogram.get(key, 0) + 1
@@ -445,15 +420,7 @@ def cmd_fuzz(args) -> int:
     else:
         outcome, code = _fuzz_hunt(args, base_params)
     block = {"family": args.family, "params": {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(base_params.items())}}
-    rep = make_report(
-        "fuzz",
-        block,
-        outcome,
-        seed=args.seed,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
-    _emit(rep, args)
-    return code
+    return _report(args, t0, "fuzz", block, outcome, code, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the report to this file instead of stdout",
     )
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", help="edge-list file, or - for stdin")
 
     p = sub.add_parser(
-        "analyze", help="structural report for an edge-list file", parents=[report]
+        "analyze", help="structural report for an edge-list file", parents=[report, graph]
     )
-    p.add_argument("graph", help="edge-list file, or - for stdin")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
-        "color", help="construct and verify a rainbow coloring", parents=[fmt]
+        "color", help="construct and verify a rainbow coloring", parents=[fmt, graph]
     )
-    p.add_argument("graph", help="edge-list file, or - for stdin")
     p.add_argument(
         "--center",
         type=int,
@@ -509,9 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser(
-        "verify", help="check a coloring for rainbow connectivity", parents=[report]
+        "verify", help="check a coloring for rainbow connectivity", parents=[report, graph]
     )
-    p.add_argument("graph", help="edge-list file, or - for stdin")
     p.add_argument("coloring", help="coloring file (u v color per line)")
     p.add_argument(
         "--witnesses", action="store_true", help="include a rainbow path per pair"
@@ -519,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "exact", help="exact rainbow connection number by search", parents=[report]
+        "exact", help="exact rainbow connection number by search", parents=[report, graph]
     )
-    p.add_argument("graph", help="edge-list file, or - for stdin")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--max-edges-full", type=int, default=DEFAULT_MAX_EDGES_FULL)
@@ -567,10 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except GenerationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ConstructionFailure as exc:
+    except (GenerationFailed, ConstructionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except _INPUT_ERRORS as exc:

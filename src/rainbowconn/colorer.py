@@ -550,8 +550,7 @@ def _color_two_connected(
     first, then the rest ascending. At each center the base partition is
     painted, and when it fails verification the lifted partition, if it
     differs. The first verified coloring wins; if none verifies,
-    ConstructionFailure carries the first failing pair. With want_witnesses
-    the verification that accepts the coloring also collects its witnesses.
+    ConstructionFailure carries the first failing pair.
     """
     first = 0 if center is None else center
     center_order = [first] + [v for v in range(g.n) if v != first]
@@ -586,6 +585,7 @@ def color_diam2(
     *,
     center: int | None = None,
     try_all_centers: bool = False,
+    want_witnesses: bool = False,
 ) -> ColoringOutcome:
     """Classify and color any connected graph of diameter at most 2.
 
@@ -595,26 +595,14 @@ def color_diam2(
     whatever the class; only the two-connected construction reads it.
     try_all_centers=True stands for center=None, whose order already runs
     every center from 0 up; the keyword stays for callers that pass it.
+    With want_witnesses the verification that accepts the coloring also
+    collects one rainbow path per pair into the certificate.
     """
-    return _color_classified(
-        g, classify(g), center=center, try_all_centers=try_all_centers
-    )
-
-
-def _color_classified(
-    g: Graph,
-    cls: Diam2Classification,
-    *,
-    center: int | None = None,
-    try_all_centers: bool = False,
-    want_witnesses: bool = False,
-) -> ColoringOutcome:
-    """color_diam2 for a caller that has already classified g; with
-    want_witnesses the certificate also holds the witnesses."""
     if center is not None and not 0 <= center < g.n:
         raise IndexOutOfRange(f"center {center} outside 0..{g.n - 1}")
     if try_all_centers:
         center = None
+    cls = classify(g)
     if isinstance(cls, NotDiameterAtMost2):
         d = diameter(g)
         if d is None:

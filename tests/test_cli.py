@@ -1,8 +1,10 @@
 """End-to-end command tests driven through main(argv)."""
 
 import argparse
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +136,16 @@ def test_color_provenance_block(tmp_path, capsys):
     assert prov["attempts"] >= 1
 
 
+def test_color_text_provenance_order(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(5))
+    assert main(["color", path, "--format", "text"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("  provenance:") + 1
+    keys = [line.split(":")[0].strip() for line in lines[start:start + 6]]
+    assert keys == ["style", "center", "forest_seed", "variant", "attempts", "repair_used"]
+    assert lines[start + 6] == "  coloring:"
+
+
 def test_color_out_of_scope_exit2(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(7))
     assert main(["color", path]) == EXIT_INPUT
@@ -149,6 +161,14 @@ def test_color_construction_failure_exit1(tmp_path, capsys, monkeypatch):
     rep = structured(capsys)
     assert rep["outcome"]["verified"] is False
     assert rep["outcome"]["failing_pair"] == [0, 2]
+    # Only this path classifies on its own for the input block; it must be
+    # the block analyze gives for the same file.
+    assert main(["analyze", path, "--format", "structured"]) == EXIT_OK
+    assert rep["input"] == structured(capsys)["input"]
+    assert rep["input"]["classification"] == "two-connected"
+    assert rep["input"]["guarantee"] == 5
+    assert rep["input"]["bridge_count"] == 0
+    assert rep["input"]["cut_vertices"] == []
 
 
 def test_color_center_flag(tmp_path, capsys):
@@ -629,6 +649,26 @@ def test_input_block_cut_facts_match_the_lowlink_scan():
         assert block["cut_vertices"] == list(cut_vertices(g)), g.edges
     # The 451 diameter-2 atlas graphs, its 7 complete graphs and 5 named ones.
     assert in_scope == 451 + 7 + 5
+
+
+def test_cli_imports_no_private_name():
+    # The command layer goes through the public entry points only, so a
+    # private second construction entry cannot come back behind color_diam2:
+    # no underscore name imported from a package module, and none read off
+    # an imported module either.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "rainbowconn"
+        ):
+            for alias in node.names:
+                assert not alias.name.startswith("_"), f"cli imports {alias.name}"
+                imported.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in imported:
+                assert not node.attr.startswith("_"), f"cli reads {node.value.id}.{node.attr}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import oracles
 from rainbowconn import verify
 from rainbowconn.coloring import EdgeColoring
 from rainbowconn.errors import CapExceeded, ColoringMismatch, IndexOutOfRange
-from rainbowconn.colorer import _color_classified, classify
+from rainbowconn.colorer import color_diam2
 from rainbowconn.generators import complete, cycle, petersen, random_diam2, star, tight_example
 from rainbowconn.graph import build_graph
 from rainbowconn.verify import (
@@ -45,7 +45,7 @@ def test_witnesses_come_in_ascending_pair_order():
         distinct = verify_rainbow_connected(g, EdgeColoring.from_sequence(g, range(1, g.m + 1)))
         assert list(distinct.witnesses) == all_pairs(g)
     for g in (petersen(), tight_example(2, 2), random_diam2(14, 0.4, "ascending/0").graph):
-        outcome = _color_classified(g, classify(g), want_witnesses=True)
+        outcome = color_diam2(g, want_witnesses=True)
         assert outcome.colors_used < g.m
         assert list(outcome.certificate.witnesses) == all_pairs(g)
 

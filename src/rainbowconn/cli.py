@@ -411,6 +411,8 @@ def _fuzz_hunt(args, base_params: dict) -> tuple[dict, int]:
 
 def cmd_fuzz(args) -> int:
     t0 = time.perf_counter()
+    if "=" in args.family:  # a KEY=VALUE, never a family name
+        args.params, args.family = [args.family, *args.params], "random-diam2"
     base_params = _parse_params(args.params)
     if args.family == "random-diam2":
         base_params.setdefault("n", 8)

@@ -5,10 +5,10 @@ result types are immutable, so every routine here is deterministic and safe to
 share across threads. Whole-graph facts (the diameter and the lowlink scan
 behind bridges, cut vertices and connectivity) are memoized on the immutable
 Graph, so each is computed at most once per graph; two threads racing on the
-first computation store the same immutable value. The diameter has a fast
-path: a complete graph gives 1, and any other graph in which every vertex
-reaches all vertices within two steps gives 2, a test run on int bitsets.
-Only the remaining graphs pay for a breadth-first search from every source.
+first computation store the same immutable value. The diameter is the number
+of steps an int-bitset ball around every vertex takes to cover all vertices;
+a graph whose balls are not full after two steps pays one breadth-first
+search, which returns None when the graph is disconnected.
 """
 
 from __future__ import annotations
@@ -53,31 +53,28 @@ class Graph:
 
     @cached_property
     def _diameter(self) -> int | None:
+        # Int-bitset balls: ball[u] starts as u's closed neighborhood and each
+        # step ORs in the balls of u's neighbors. Balls still short after two
+        # steps ask one BFS whether the graph is connected at all.
         n = self.n
         if n == 0:
             return None
         if self.is_complete():
             return 1 if n > 1 else 0
-        # Diameter 2 test on int bitsets: the closed neighborhoods of N[u]
-        # cover every vertex, for every u.
-        closed = [1 << v for v in range(n)]
+        ball = [1 << v for v in range(n)]
         for u, v in self.edges:
-            closed[u] |= 1 << v
-            closed[v] |= 1 << u
-        full = (1 << n) - 1
-        if all(
-            reduce(or_, map(closed.__getitem__, nbrs), closed[u]) == full
-            for u, nbrs in enumerate(self.adj)
-        ):
-            return 2
-        # Otherwise the exact value (or None) comes from BFS from every source.
-        best = 0
-        for v in range(self.n):
-            layers = bfs_layers(self, v)
-            if UNREACHABLE in layers.dist:
+            ball[u] |= 1 << v
+            ball[v] |= 1 << u
+        full, steps = (1 << n) - 1, 1
+        while ball.count(full) != n:
+            if steps == 2 and UNREACHABLE in bfs_layers(self, 0).dist:
                 return None
-            best = max(best, layers.eccentricity)
-        return best
+            ball = [
+                reduce(or_, map(ball.__getitem__, nbrs), b)
+                for b, nbrs in zip(ball, self.adj)
+            ]
+            steps += 1
+        return steps
 
     @cached_property
     def _lowlink(self) -> tuple[tuple[Edge, ...], tuple[int, ...], int]:

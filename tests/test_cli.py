@@ -28,7 +28,7 @@ from rainbowconn.cli import (
 from rainbowconn.fileio import MAX_VERTICES, format_edge_list
 from rainbowconn.graph import bridges, cut_vertices
 from rainbowconn.generators import MAX_EDGES, GenSpec
-from rainbowconn.report import parse_structured
+from rainbowconn.report import parse_structured, strip_timing
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -517,6 +517,17 @@ def test_fuzz_validate_defaults(capsys):
     assert main(["fuzz", "validate", "--count", "5", "--format", "structured"]) == EXIT_OK
     rep = structured(capsys)
     assert rep["input"]["family"] == "random-diam2"
+
+
+def test_fuzz_key_value_without_family_keeps_the_default_family(capsys):
+    # A token with "=" is never a family name, so it goes to the parameters.
+    reports = []
+    for head in ([], ["random-diam2"]):
+        argv = ["fuzz", "validate", *head, "n=8..10", "--count", "2", "--format", "structured"]
+        assert main(argv) == EXIT_OK
+        reports.append(strip_timing(structured(capsys)))
+    assert reports[0] == reports[1]
+    assert reports[0]["input"]["params"]["n"] == [8, 10]
 
 
 def test_fuzz_hunt_touches_findings_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import oracles
@@ -86,6 +88,20 @@ def test_random_diam2_respects_flags():
     assert not bridges(g)
     h = random_diam2(9, 0.35, 3, require_two_connected=True).graph
     assert is_two_connected(h)
+
+
+def test_seeded_sampling_is_pinned():
+    # Graphs and try counts of seeded sampling, hashed: a change to the
+    # sampler or to the diameter test it rejects by must not move them.
+    h = hashlib.sha256()
+    for i in range(300):
+        r = random_diam2(n := 8 + i % 28, 0.45, child_seed(1, i))
+        h.update(f"{n} {r.tries} {r.graph.edges}\n".encode())
+    for i in range(40):
+        for tag, flag in (("b", "require_bridgeless"), ("t", "require_two_connected")):
+            r = random_diam2(9 + i % 8, 0.35, f"pin/{i}", max_tries=500, **{flag: True})
+            h.update(f"{tag} {r.tries} {r.graph.edges}\n".encode())
+    assert h.hexdigest()[:16] == "35df444eeac58bd6"
 
 
 def test_random_diam2_gives_up():

@@ -106,6 +106,12 @@ def _diameter_cases():
     for n in range(4, 12):
         yield build_graph(n, [(i, i + 1) for i in range(n - 1)])
     yield from (cycle(n) for n in range(6, 14))
+    # Balls still short after two steps, where the connectivity BFS decides:
+    # K5 plus an isolated vertex and two disjoint long cycles (None), and a
+    # long cycle with a chord (connected, diameter 10).
+    yield build_graph(6, complete(5).edges)
+    yield build_graph(25, [*cycle(12).edges, *((u + 12, v + 12) for u, v in cycle(13).edges)])
+    yield build_graph(20, [*cycle(20).edges, (0, 5)])
     rng = random.Random("diameter-vs-bfs")
     for _ in range(300):
         n = rng.randint(1, 60)
@@ -250,7 +256,7 @@ def test_structural_facts_are_computed_once(monkeypatch, tmp_path, capsys):
 
     g = petersen()
     classify(g)
-    # The bitset test settles diameter 2 without a BFS, and the universal
+    # Two steps of ball growth settle diameter 2 without a BFS, and the universal
     # vertices settle the class without a lowlink scan.
     assert (len(bfs_calls), len(scan_calls)) == (0, 0)
     assert diameter(g) == 2
@@ -290,8 +296,12 @@ def test_structural_facts_are_computed_once(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         assert len(scan_calls) == before
 
-    # Other graphs fall back to one all-sources BFS, run once.
+    # Other graphs grow their balls further, after one BFS that checks
+    # connectivity; a disconnected graph stops there.
     h = cycle(7)
     classify(h)
     assert diameter(h) == 3
-    assert sum(1 for x in bfs_calls if x is h) == h.n
+    assert sum(1 for x in bfs_calls if x is h) == 1
+    two = build_graph(14, [*h.edges, *((u + 7, v + 7) for u, v in h.edges)])
+    assert diameter(two) is None
+    assert sum(1 for x in bfs_calls if x is two) == 1
